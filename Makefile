@@ -67,7 +67,7 @@ bench:
 # benchmark suites compiling and runnable in CI without paying for real
 # measurements.
 bench-smoke:
-	MPBASSET_BENCH_BUDGET=2s $(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/explore/
+	MPBASSET_BENCH_BUDGET=2s $(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/explore/ ./internal/core/ ./internal/por/
 
 # The CI perf gate: run both tables under the fixed work cap, write the
 # machine-readable report, and fail on >BENCH_REGRESS_PCT% per-cell

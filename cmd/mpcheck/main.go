@@ -9,6 +9,8 @@
 //	mpcheck -protocol storage -setting 3,2 -wrong -search unreduced
 //	mpcheck -protocol paxos -setting 2,3,1 -model single -search dpor
 //
+//	mpcheck -protocol paxos -search spor -cpuprofile cpu.pprof -memprofile mem.pprof
+//
 // Exit status: 0 verified, 2 counterexample found, 1 error.
 package main
 
@@ -18,6 +20,7 @@ import (
 	"os"
 	"time"
 
+	"mpbasset/cmd/internal/profile"
 	"mpbasset/internal/cli"
 	"mpbasset/internal/core"
 	"mpbasset/internal/dpor"
@@ -35,7 +38,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("mpcheck", flag.ContinueOnError)
 	var (
 		protocol = fs.String("protocol", "paxos", "protocol: paxos | faulty-paxos | multicast | storage")
@@ -61,10 +64,21 @@ func run(args []string) error {
 		bitsB    = fs.String("bitstate-bytes", "", "bit-array size for -lossy, e.g. 64M or 1G (empty = 64M default; needs -lossy)")
 		dotOut   = fs.String("dot", "", "write the full state graph (small models!) as Graphviz DOT to this file")
 		traceDot = fs.String("trace-dot", "", "write the counterexample trace as Graphviz DOT to this file")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a pprof allocation profile of the run to this file when it ends")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfile(); err == nil {
+			err = perr
+		}
+	}()
 	if err := cli.ValidateParallelFlags(*search, *workers, *chunk, *batch, *stealD); err != nil {
 		return err
 	}
@@ -273,6 +287,9 @@ func run(args []string) error {
 		}
 	}
 	if res.Verdict == explore.VerdictViolated {
+		if err := stopProfile(); err != nil {
+			return err
+		}
 		os.Exit(2)
 	}
 	return nil

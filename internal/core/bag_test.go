@@ -90,17 +90,18 @@ func TestBagMatchingBySender(t *testing.T) {
 	b.Add(msg(1, 5, "Y", 9)) // wrong type
 	b.Add(msg(1, 6, "X", 9)) // wrong recipient
 
-	senders, bySender := b.MatchingBySender(5, "X", nil)
-	if want := []ProcessID{0, 1, 2}; !reflect.DeepEqual(senders, want) {
-		t.Fatalf("senders = %v, want %v", senders, want)
+	var m Matches
+	b.MatchingBySender(&m, 5, "X", nil)
+	if want := []ProcessID{0, 1, 2}; !reflect.DeepEqual(m.Senders, want) {
+		t.Fatalf("senders = %v, want %v", m.Senders, want)
 	}
-	if len(bySender[1]) != 2 {
-		t.Fatalf("sender 1 candidates = %d, want 2", len(bySender[1]))
+	if len(m.Group(1)) != 2 {
+		t.Fatalf("sender 1 candidates = %d, want 2", len(m.Group(1)))
 	}
 	// Peer restriction.
-	senders, _ = b.MatchingBySender(5, "X", []ProcessID{1, 2})
-	if want := []ProcessID{1, 2}; !reflect.DeepEqual(senders, want) {
-		t.Fatalf("peer-restricted senders = %v, want %v", senders, want)
+	b.MatchingBySender(&m, 5, "X", []ProcessID{1, 2})
+	if want := []ProcessID{1, 2}; !reflect.DeepEqual(m.Senders, want) {
+		t.Fatalf("peer-restricted senders = %v, want %v", m.Senders, want)
 	}
 	if !b.HasMatching(5, "X", nil) || b.HasMatching(7, "X", nil) {
 		t.Fatal("HasMatching wrong")

@@ -26,4 +26,19 @@
 // keys and event keys are stable across runs, which makes searches
 // reproducible and state graphs comparable (the property behind the paper's
 // Theorem 2 tests in package refine).
+//
+// Representation contracts the search hot path relies on:
+//
+//   - A Bag is a slice of distinct messages sorted by canonical key, each
+//     with its key and multiplicity; the zero value is an empty bag. Each
+//     and EachKey visit messages in ascending key order. Matching is one
+//     linear pass grouped by ascending sender (Bag.MatchingBySender), and
+//     the sender-set query (Bag.MatchingBySenderSet) allocates nothing
+//     for process IDs below 64.
+//   - Events returned by Enabled carry their messages' keys, so Execute
+//     and Event.Key never re-encode a consumed message.
+//   - A successor built by Execute copies every local key but the
+//     executing process's from its parent's key, once the parent is
+//     keyed. This relies on a LocalState never changing after Execute has
+//     built a state from it: transitions mutate only the clone Ctx.Local.
 package core

@@ -11,16 +11,39 @@ import (
 type Event struct {
 	T    *Transition
 	Msgs []Message // sorted by canonical key
+
+	// keys caches Msgs[i].Key() for events built from a bag's candidates
+	// (Enabled, Transition.EventOf); nil on events built by hand.
+	keys []string
+}
+
+// MsgKey returns the canonical key of Msgs[i], from the event's cache when
+// the event was built from a bag.
+func (e Event) MsgKey(i int) string {
+	if e.keys != nil {
+		return e.keys[i]
+	}
+	return e.Msgs[i].Key()
 }
 
 // Key returns a canonical encoding of the event, unique within a finalized
 // protocol (it embeds the transition index and the consumed message keys).
 func (e Event) Key() string {
 	var sb strings.Builder
-	sb.WriteString(strconv.Itoa(e.T.idx))
-	for _, m := range e.Msgs {
+	n := 4
+	for _, k := range e.keys {
+		n += 1 + len(k)
+	}
+	sb.Grow(n)
+	var num [20]byte
+	sb.Write(strconv.AppendInt(num[:0], int64(e.T.idx), 10))
+	for i := range e.Msgs {
 		sb.WriteByte(',')
-		m.appendKey(&sb)
+		if e.keys != nil {
+			sb.WriteString(e.keys[i])
+		} else {
+			e.Msgs[i].appendKey(&sb)
+		}
 	}
 	return sb.String()
 }

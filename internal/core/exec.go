@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Ctx is the execution context handed to a transition's Apply: the private
 // clone of the executing process's local state, the consumed messages, and
@@ -15,9 +18,10 @@ type Ctx struct {
 	// carries no meaning (MP semantics); treat it as a set.
 	Msgs []Message
 
-	view  GlobalView
-	reads []ProcessID
-	sends []Message
+	view    GlobalView
+	reads   []ProcessID
+	sends   []Message
+	sendBuf [4]Message // backs sends for the common few-sends case
 }
 
 // Senders returns the distinct senders of the consumed message set.
@@ -41,18 +45,24 @@ func (c *Ctx) Global(p ProcessID) LocalState {
 	panic(fmt.Sprintf("core: transition of process %d reads process %d without declaring it in GlobalReads", c.Self, p))
 }
 
+// successor is a state allocated together with its bag, which Execute
+// always builds at once.
+type successor struct {
+	state State
+	bag   Bag
+}
+
 // Execute applies event e to state s and returns the successor state
 // (§II-A semantics): the consumed messages are removed, the local state of
 // the executing process is replaced by the result of the transition body,
 // and the sent messages are added. s is not mutated; unaffected local
-// states are structurally shared.
+// states are structurally shared, and so are their keys once s is keyed.
 func (p *Protocol) Execute(s *State, e Event) (*State, error) {
 	t := e.T
-	bag := s.Msgs.Clone()
-	for _, m := range e.Msgs {
-		if !bag.Remove(m) {
-			return nil, fmt.Errorf("execute %s: message %s not pending", e, m)
-		}
+	var consumedBuf [8]int
+	consumed, err := locate(s.Msgs, e, consumedBuf[:0])
+	if err != nil {
+		return nil, err
 	}
 	locals := make([]LocalState, len(s.Locals))
 	copy(locals, s.Locals)
@@ -63,6 +73,7 @@ func (p *Protocol) Execute(s *State, e Event) (*State, error) {
 		view:  GlobalView{locals: s.Locals},
 		reads: t.GlobalReads,
 	}
+	ctx.sends = ctx.sendBuf[:0]
 	if t.Apply != nil {
 		t.Apply(ctx)
 	}
@@ -79,30 +90,56 @@ func (p *Protocol) Execute(s *State, e Event) (*State, error) {
 				return nil, err
 			}
 		}
-		bag.Add(m)
 	}
-	ns := NewState(locals, bag)
+	ns := &successor{bag: s.Msgs.successor(consumed, ctx.sends)}
+	ns.state = State{Locals: locals, Msgs: &ns.bag}
+	if s.key != "" {
+		ns.state.parent, ns.state.changed = s, t.Proc
+	}
 	if p.ValidateSends {
-		if err := p.validateUniqueness(ns); err != nil {
+		if err := p.validateUniqueness(&ns.state); err != nil {
 			return nil, err
 		}
 	}
-	return ns, nil
+	return &ns.state, nil
+}
+
+// locate appends to dst the entry positions in b of e's consumed messages,
+// ascending (a message consumed twice appears twice), or fails on the first
+// message that is not pending.
+func locate(b *Bag, e Event, dst []int) ([]int, error) {
+	for i := range e.Msgs {
+		j, ok := b.search(e.MsgKey(i))
+		if ok {
+			taken := 0
+			for _, k := range dst {
+				if k == j {
+					taken++
+				}
+			}
+			ok = taken < b.entries[j].n
+		}
+		if !ok {
+			return nil, fmt.Errorf("execute %s: message %s not pending", e, e.Msgs[i])
+		}
+		dst = append(dst, j)
+	}
+	slices.Sort(dst)
+	return dst, nil
 }
 
 // validateUniqueness checks the UniquePerSender claims of all transitions
 // against a reached state (debug mode): the static POR relies on them.
 func (p *Protocol) validateUniqueness(s *State) error {
+	var m Matches
 	for _, t := range p.Transitions {
 		if !t.UniquePerSender {
 			continue
 		}
-		// Iterate the sorted sender list, not the map: with two offending
-		// senders the error reported must not depend on iteration order.
-		senders, bySender := s.Msgs.MatchingBySender(t.Proc, t.MsgType, t.Peers)
-		for _, q := range senders {
-			if msgs := bySender[q]; len(msgs) > 1 {
-				return fmt.Errorf("transition %s is marked UniquePerSender but sender %d has %d pending candidates in a reachable state", t, q, len(msgs))
+		s.Msgs.MatchingBySender(&m, t.Proc, t.MsgType, t.Peers)
+		for g, q := range m.Senders {
+			if n := len(m.Group(g)); n > 1 {
+				return fmt.Errorf("transition %s is marked UniquePerSender but sender %d has %d pending candidates in a reachable state", t, q, n)
 			}
 		}
 	}

@@ -42,25 +42,50 @@ type Message struct {
 // Key returns the canonical encoding of the message. Messages are equal iff
 // their keys are equal.
 func (m Message) Key() string {
+	pk := m.payloadKey()
 	var sb strings.Builder
-	sb.Grow(16 + len(m.Type))
-	m.appendKey(&sb)
+	sb.Grow(m.keyLen(pk))
+	m.appendKeyWith(&sb, pk)
 	return sb.String()
 }
 
-func (m Message) appendKey(sb *strings.Builder) {
-	sb.WriteString(strconv.Itoa(int(m.From)))
+func (m Message) payloadKey() string {
+	if m.Payload == nil {
+		return ""
+	}
+	return m.Payload.Key()
+}
+
+func (m Message) appendKey(sb *strings.Builder) { m.appendKeyWith(sb, m.payloadKey()) }
+
+// appendKeyWith writes the key of m given its payload's key pk.
+func (m Message) appendKeyWith(sb *strings.Builder, pk string) {
+	var num [20]byte
+	sb.Write(strconv.AppendInt(num[:0], int64(m.From), 10))
 	sb.WriteByte('>')
-	sb.WriteString(strconv.Itoa(int(m.To)))
+	sb.Write(strconv.AppendInt(num[:0], int64(m.To), 10))
 	sb.WriteByte(':')
 	sb.WriteString(m.Type)
-	if m.Payload != nil {
-		if k := m.Payload.Key(); k != "" {
-			sb.WriteByte('{')
-			sb.WriteString(k)
-			sb.WriteByte('}')
-		}
+	if pk != "" {
+		sb.WriteByte('{')
+		sb.WriteString(pk)
+		sb.WriteByte('}')
 	}
+}
+
+// keyLen returns the length of m's key given its payload's key pk.
+func (m Message) keyLen(pk string) int {
+	n := decimalLen(int(m.From)) + 1 + decimalLen(int(m.To)) + 1 + len(m.Type)
+	if pk != "" {
+		n += len(pk) + 2
+	}
+	return n
+}
+
+// decimalLen returns the length of n in decimal.
+func decimalLen(n int) int {
+	var num [20]byte
+	return len(strconv.AppendInt(num[:0], int64(n), 10))
 }
 
 // String returns a human-readable rendering of the message.

@@ -39,6 +39,7 @@ type Protocol struct {
 
 	finalized bool
 	byProc    [][]*Transition
+	scratch   *scratchCache // Enabled's working memory, made by Finalize
 }
 
 // Finalize validates the protocol and freezes transition indices. It must
@@ -79,6 +80,7 @@ func (p *Protocol) Finalize() error {
 			return fmt.Errorf("protocol %s: initial message %s addresses process out of range", p.Name, m)
 		}
 	}
+	p.scratch = new(scratchCache)
 	p.finalized = true
 	return nil
 }

@@ -20,6 +20,15 @@ type State struct {
 	Msgs   *Bag
 
 	key string // lazily computed canonical encoding
+	// ends[i] is the offset in key just past process i's local key; the
+	// bag part starts after ends[len-1]+1 (the '#').
+	ends []int32
+	// parent and changed are set by Execute when the parent's key is
+	// already known: every local key but process changed's is then
+	// copied from the parent's key instead of being rebuilt. Key clears
+	// parent, so a state retains its parent only until it is keyed.
+	parent  *State
+	changed ProcessID
 }
 
 // NewState builds a state from locals and a bag. The arguments are owned by
@@ -36,19 +45,60 @@ func NewState(locals []LocalState, msgs *Bag) *State {
 // the first call.
 func (s *State) Key() string {
 	if s.key == "" {
-		var sb strings.Builder
-		sb.Grow(64)
-		for i, l := range s.Locals {
-			if i > 0 {
-				sb.WriteByte('|')
-			}
-			sb.WriteString(l.Key())
+		if s.parent != nil && s.parent.key != "" {
+			s.keyFromParent()
+		} else {
+			s.keyFromScratch()
 		}
-		sb.WriteByte('#')
-		s.Msgs.appendKey(&sb)
-		s.key = sb.String()
+		s.parent = nil
 	}
 	return s.key
+}
+
+// keyFromScratch encodes every local state and the bag.
+func (s *State) keyFromScratch() {
+	var sb strings.Builder
+	sb.Grow(64)
+	s.ends = make([]int32, len(s.Locals))
+	for i, l := range s.Locals {
+		if i > 0 {
+			sb.WriteByte('|')
+		}
+		sb.WriteString(l.Key())
+		s.ends[i] = int32(sb.Len())
+	}
+	sb.WriteByte('#')
+	s.Msgs.appendKey(&sb)
+	s.key = sb.String()
+}
+
+// keyFromParent encodes only the changed process's local state and the
+// bag, copying the other local keys from the parent's key. This relies on
+// LocalState values staying immutable once Execute has built a state from
+// them: the parent's locals are shared with the successor.
+func (s *State) keyFromParent() {
+	pk, pe := s.parent.key, s.parent.ends
+	p := int(s.changed)
+	start := 0
+	if p > 0 {
+		start = int(pe[p-1]) + 1
+	}
+	end, localsEnd := int(pe[p]), int(pe[len(pe)-1])
+	lk := s.Locals[p].Key()
+	delta := int32(len(lk) - (end - start))
+	var sb strings.Builder
+	sb.Grow(localsEnd + int(delta) + 1 + s.Msgs.keyLen())
+	sb.WriteString(pk[:start])
+	sb.WriteString(lk)
+	sb.WriteString(pk[end:localsEnd])
+	sb.WriteByte('#')
+	s.Msgs.appendKey(&sb)
+	s.key = sb.String()
+	s.ends = make([]int32, len(pe))
+	copy(s.ends, pe)
+	for i := p; i < len(s.ends); i++ {
+		s.ends[i] += delta
+	}
 }
 
 // ComponentKeys returns the canonical encoding of the state component by
@@ -57,13 +107,20 @@ func (s *State) Key() string {
 // ComponentKeys exposes the parts before they are flattened, so collapse
 // compression (explore.Collapser) can intern each component in a shared
 // table instead of re-splitting the joined string (local keys may contain
-// any byte, so splitting the flat key would be ambiguous).
+// any byte, so splitting the flat key would be ambiguous). The parts are
+// substrings of Key().
 func (s *State) ComponentKeys() (locals []string, bag string) {
-	locals = make([]string, len(s.Locals))
-	for i, l := range s.Locals {
-		locals[i] = l.Key()
+	key := s.Key()
+	locals = make([]string, len(s.ends))
+	start := 0
+	for i, end := range s.ends {
+		locals[i] = key[start:end]
+		start = int(end) + 1
 	}
-	return locals, s.Msgs.Key()
+	if len(s.ends) == 0 {
+		start = 1 // key is "#" and the bag
+	}
+	return locals, key[start:]
 }
 
 // Local returns the local state of process p.

@@ -25,8 +25,8 @@ func (e *engine) recordExecution(ev core.Event, sent []string) {
 		}
 	}
 	// Send→consume edges.
-	for _, m := range ev.Msgs {
-		if cs := e.sendClocks[m.Key()]; len(cs) > 0 {
+	for i := range ev.Msgs {
+		if cs := e.sendClocks[ev.MsgKey(i)]; len(cs) > 0 {
 			join(clock, cs[len(cs)-1])
 		}
 	}
@@ -57,17 +57,18 @@ func (e *engine) unrecordExecution(f *frame) {
 	f.sent = nil
 }
 
-// sentKeys computes the keys of the messages ev added to the bag: the
-// successor's bag minus (the predecessor's bag minus the consumed set).
+// sentKeys computes the keys of the messages ev added to the bag, in
+// ascending order: the successor's bag minus (the predecessor's bag minus
+// the consumed set), read off the bags' own keys.
 func sentKeys(prev, next *core.State, ev core.Event) []string {
 	var out []string
-	consumed := make(map[string]int, len(ev.Msgs))
-	for _, m := range ev.Msgs {
-		consumed[m.Key()]++
-	}
-	next.Msgs.Each(func(m core.Message, n int) {
-		k := m.Key()
-		before := prev.Msgs.Count(m) - consumed[k]
+	next.Msgs.EachKey(func(k string, n int) {
+		before := prev.Msgs.CountKey(k)
+		for i := range ev.Msgs {
+			if ev.MsgKey(i) == k {
+				before--
+			}
+		}
 		if n > before {
 			out = append(out, k)
 		}
@@ -150,8 +151,8 @@ func (e *engine) raceAt(ev core.Event, avail []int, d int) raceOutcome {
 // zero clock for spontaneous events, which are always "available").
 func (e *engine) availClock(ev core.Event) []int {
 	clock := make([]int, e.p.N)
-	for _, m := range ev.Msgs {
-		if cs := e.sendClocks[m.Key()]; len(cs) > 0 {
+	for i := range ev.Msgs {
+		if cs := e.sendClocks[ev.MsgKey(i)]; len(cs) > 0 {
 			join(clock, cs[len(cs)-1])
 		}
 	}

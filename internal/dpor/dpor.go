@@ -147,10 +147,7 @@ func (e *engine) run() (*explore.Result, error) {
 		// A frame pushed with a speculative record replays the memoized
 		// successor — Execute result, sent-message keys and invariant check
 		// are pure functions of (state, event), so the record equals what
-		// the inline computation below would produce. (Sole caveat: the
-		// sent keys follow Bag.Each's unspecified iteration order, so the
-		// record's slice may be a permutation of the inline one — harmless,
-		// since every consumer of frame.sent folds it into a set.)
+		// the inline computation below would produce.
 		var ns *core.State
 		var sent []string
 		var verr error
@@ -216,20 +213,18 @@ func (e *engine) raceCheckPending() {
 		newKeys[k] = true
 	}
 	ns := e.stack[len(e.stack)-1].state
+	var match core.Matches
 	for _, t := range e.p.Transitions {
 		if t.Quorum != 1 {
 			continue
 		}
-		_, bySender := ns.Msgs.MatchingBySender(t.Proc, t.MsgType, t.Peers)
-		//lint:nondet-ok race updates commute: each event's backtrack insertions depend only on (event, parent), not on the order senders are visited
-		for _, msgs := range bySender {
-			for _, m := range msgs {
-				u := core.Event{T: t, Msgs: []core.Message{m}}
-				if newKeys[m.Key()] {
-					e.updateRacesFrom(u, parentIdx)
-				} else {
-					e.updateRacesAt(u, parentIdx)
-				}
+		ns.Msgs.MatchingBySender(&match, t.Proc, t.MsgType, t.Peers)
+		for _, c := range match.Candidates() {
+			u := t.EventOf(c)
+			if newKeys[c.Key] {
+				e.updateRacesFrom(u, parentIdx)
+			} else {
+				e.updateRacesAt(u, parentIdx)
 			}
 		}
 	}

@@ -63,6 +63,9 @@ func (t *internTable) intern(key string) uint32 {
 	if t.ids == nil {
 		t.ids = make(map[string]uint32)
 	}
+	// Components are substrings of a whole state key; a copy keeps the
+	// table from retaining every state key it interned a component of.
+	key = strings.Clone(key)
 	id := uint32(len(t.keys))
 	t.ids[key] = id
 	t.keys = append(t.keys, key)

@@ -1,7 +1,7 @@
 package por
 
 import (
-	"sort"
+	"math/bits"
 
 	"mpbasset/internal/core"
 )
@@ -15,23 +15,30 @@ import (
 //     conflict on t's messages and local state), t's feeders (they grow
 //     t's set of executable events, so reordering them past t loses
 //     quorum choices), and global-read couplings;
-//   - feeders[t], grouped by the feeding process, used for
-//     necessary-enabling sets (NET) of disabled members;
+//   - feeders[t], whose executing processes narrow necessary-enabling sets
+//     (NET) of disabled members;
 //   - the symmetric dependence relation used by dynamic POR's race
 //     detection.
+//
+// Every relation is a row of bits per transition, stored flat: row i of a
+// relation is rel[i*words : (i+1)*words].
 type Analysis struct {
-	p *core.Protocol
-	// conflicts[t]: same-process conflicting transitions plus global-read
+	p     *core.Protocol
+	words int // uint64 words per transition set
+	// conflicts: same-process conflicting transitions plus global-read
 	// couplings — the state-independent part of an enabled member's
 	// dependence set. Two ReadOnly transitions of one process that cannot
 	// contend for the same messages are *not* conflicting (the paper's
 	// isWrite annotation at work).
-	conflicts [][]int
-	feeders   []map[core.ProcessID][]int
-	// writers[t]: same-process transitions that may change the local
-	// state — the only ones that can flip a local guard.
-	writers [][]int
-	symDep  [][]bool
+	conflicts []uint64
+	// feeders: transitions that may send a message the row's transition
+	// consumes. A feeder's process is always an allowed sender.
+	feeders []uint64
+	// writers: same-process transitions that may change the local state —
+	// the only ones that can flip a local guard.
+	writers []uint64
+	symDep  []uint64
+	visible []uint64 // one set: the Visible transitions
 }
 
 // NewAnalysis precomputes the relations for p.
@@ -41,19 +48,22 @@ func NewAnalysis(p *core.Protocol) (*Analysis, error) {
 	}
 	ts := p.Transitions
 	n := len(ts)
+	words := (n + 63) / 64
+	rows := make([]uint64, 4*n*words+words)
 	a := &Analysis{
 		p:         p,
-		conflicts: make([][]int, n),
-		feeders:   make([]map[core.ProcessID][]int, n),
-		writers:   make([][]int, n),
-		symDep:    make([][]bool, n),
-	}
-	for i := range ts {
-		a.feeders[i] = make(map[core.ProcessID][]int)
-		a.symDep[i] = make([]bool, n)
-		a.symDep[i][i] = true
+		words:     words,
+		conflicts: rows[0 : n*words],
+		feeders:   rows[n*words : 2*n*words],
+		writers:   rows[2*n*words : 3*n*words],
+		symDep:    rows[3*n*words : 4*n*words],
+		visible:   rows[4*n*words:],
 	}
 	for i, ti := range ts {
+		setBit(a.row(a.symDep, i), i)
+		if ti.Visible {
+			setBit(a.visible, i)
+		}
 		for j, tj := range ts {
 			if i == j {
 				continue
@@ -66,22 +76,31 @@ func NewAnalysis(p *core.Protocol) (*Analysis, error) {
 			reads := (readsProcess(ti, tj.Proc) && !tj.ReadOnly) ||
 				(readsProcess(tj, ti.Proc) && !ti.ReadOnly)
 			if same && !tj.ReadOnly {
-				a.writers[i] = append(a.writers[i], j)
+				setBit(a.row(a.writers, i), j)
 			}
 			if feedsJI {
-				a.feeders[i][tj.Proc] = append(a.feeders[i][tj.Proc], j)
+				setBit(a.row(a.feeders, i), j)
 			}
 			if conflict || reads {
-				a.conflicts[i] = append(a.conflicts[i], j)
+				setBit(a.row(a.conflicts, i), j)
 			}
 			if conflict || feedsJI || reads {
-				a.symDep[i][j] = true
-				a.symDep[j][i] = true
+				setBit(a.row(a.symDep, i), j)
+				setBit(a.row(a.symDep, j), i)
 			}
 		}
 	}
 	return a, nil
 }
+
+// row returns transition i's row of the flat relation rel.
+func (a *Analysis) row(rel []uint64, i int) []uint64 {
+	return rel[i*a.words : (i+1)*a.words]
+}
+
+func setBit(set []uint64, i int) { set[i/64] |= 1 << (uint(i) % 64) }
+
+func hasBit(set []uint64, i int) bool { return set[i/64]&(1<<(uint(i)%64)) != 0 }
 
 // sameProcConflict decides whether two distinct transitions of one process
 // conflict: they do unless both are ReadOnly (neither changes the state the
@@ -122,20 +141,16 @@ func (a *Analysis) Protocol() *core.Protocol { return a.p }
 // Dependent reports (symmetric, reflexive) static dependence between two
 // transitions by index: same process, feeding in either direction, or
 // global-read coupling. Dynamic POR uses this for race detection.
-func (a *Analysis) Dependent(i, j int) bool { return a.symDep[i][j] }
+func (a *Analysis) Dependent(i, j int) bool { return hasBit(a.row(a.symDep, i), j) }
 
 // DependenceCount returns the number of ordered dependent pairs (i != j).
 // Transition refinement should shrink it; the ablation bench reports it.
 func (a *Analysis) DependenceCount() int {
 	n := 0
-	for i := range a.symDep {
-		for j := range a.symDep[i] {
-			if i != j && a.symDep[i][j] {
-				n++
-			}
-		}
+	for _, w := range a.symDep {
+		n += bits.OnesCount64(w)
 	}
-	return n
+	return n - len(a.p.Transitions) // every transition depends on itself
 }
 
 // readsProcess reports whether t reads q's local state via GlobalReads.
@@ -208,41 +223,106 @@ type closureConfig struct {
 	dropGrowthFeeders bool
 }
 
-// stubborn computes a strong stubborn set at state s, seeded with seed:
-// an enabled member pulls in anything that could disable it, conflict with
-// it, or grow its set of executable events; a disabled member pulls in a
-// necessary enabling set. Returns transition indices.
-func (a *Analysis) stubborn(seed int, s *core.State, enabled map[int]bool, cfg closureConfig) map[int]bool {
-	inSet := map[int]bool{seed: true}
-	work := []int{seed}
-	add := func(j int) {
-		if !inSet[j] {
-			inSet[j] = true
-			work = append(work, j)
-		}
-	}
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		if enabled[i] {
-			for _, j := range a.conflicts[i] {
-				add(j)
-			}
-			if !cfg.dropGrowthFeeders {
-				for _, j := range a.growthFeeders(i, s, cfg.disableUniqueness) {
-					add(j)
-				}
-			}
-			continue
-		}
-		for _, j := range a.net(i, s, cfg.disableNET) {
-			add(j)
-		}
-	}
-	return inSet
+// scratch is the per-state working memory of the closure: bitsets over
+// transitions and the sender sets the closure has computed so far. Expand
+// takes one from its cache per call, so concurrent calls never share one.
+type scratch struct {
+	enabled, inSet, work, best []uint64
+	// known marks the transitions whose entry in senders is valid for the
+	// current state: each sender set is computed at most once per state.
+	known   []uint64
+	senders []core.SenderSet
 }
 
-// growthFeeders returns the feeders that could still grow the event set of
+func newScratch(a *Analysis) *scratch {
+	w := a.words
+	sets := make([]uint64, 5*w)
+	return &scratch{
+		enabled: sets[0:w],
+		inSet:   sets[w : 2*w],
+		work:    sets[2*w : 3*w],
+		best:    sets[3*w : 4*w],
+		known:   sets[4*w : 5*w],
+		senders: make([]core.SenderSet, len(a.p.Transitions)),
+	}
+}
+
+// sendersOf returns the senders with a pending candidate for transition i
+// at state s, computing them on first use.
+func (sc *scratch) sendersOf(t *core.Transition, s *core.State) *core.SenderSet {
+	i := t.Index()
+	if !hasBit(sc.known, i) {
+		s.Msgs.MatchingBySenderSet(&sc.senders[i], t.Proc, t.MsgType, t.Peers)
+		setBit(sc.known, i)
+	}
+	return &sc.senders[i]
+}
+
+// add puts every member of deps not yet in the set into the set and the
+// worklist.
+func (sc *scratch) add(deps []uint64) {
+	for w, d := range deps {
+		if nw := d &^ sc.inSet[w]; nw != 0 {
+			sc.inSet[w] |= nw
+			sc.work[w] |= nw
+		}
+	}
+}
+
+// addFeedersExcept adds the feeders of transition i executed by processes
+// outside have.
+func (a *Analysis) addFeedersExcept(sc *scratch, i int, have *core.SenderSet) {
+	for w, f := range a.row(a.feeders, i) {
+		for f != 0 {
+			j := w*64 + bits.TrailingZeros64(f)
+			f &= f - 1
+			if !have.Has(a.p.Transitions[j].Proc) && !hasBit(sc.inSet, j) {
+				setBit(sc.inSet, j)
+				setBit(sc.work, j)
+			}
+		}
+	}
+}
+
+// stubborn computes a strong stubborn set at state s, seeded with seed,
+// into sc.inSet: an enabled member pulls in anything that could disable
+// it, conflict with it, or grow its set of executable events; a disabled
+// member pulls in a necessary enabling set. The closure is a fixpoint, so
+// the order the worklist is drained in does not affect the result.
+func (a *Analysis) stubborn(seed int, s *core.State, sc *scratch, cfg closureConfig) {
+	clear(sc.inSet)
+	clear(sc.work)
+	setBit(sc.inSet, seed)
+	setBit(sc.work, seed)
+	for {
+		i := popFirst(sc.work)
+		if i < 0 {
+			return
+		}
+		if hasBit(sc.enabled, i) {
+			sc.add(a.row(a.conflicts, i))
+			if !cfg.dropGrowthFeeders {
+				a.growthFeeders(i, s, sc, cfg.disableUniqueness)
+			}
+		} else {
+			a.net(i, s, sc, cfg.disableNET)
+		}
+	}
+}
+
+// popFirst removes and returns the smallest member of set, or -1 when set
+// is empty.
+func popFirst(set []uint64) int {
+	for w, x := range set {
+		if x != 0 {
+			set[w] = x & (x - 1)
+			return w*64 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// growthFeeders adds the feeders that could still grow the event set of
 // the *enabled* transition i at state s. New events for i need new
 // consumable messages; when i is UniquePerSender, a sender that already
 // contributes a candidate cannot supply another, so only feeders executed
@@ -250,34 +330,22 @@ func (a *Analysis) stubborn(seed int, s *core.State, enabled map[int]bool, cfg c
 // quorum is complete, that is the empty set, which is precisely why
 // refinement sharpens the reduction (§III-C/D). Without the uniqueness
 // property every feeder must be assumed capable of adding alternatives.
-func (a *Analysis) growthFeeders(i int, s *core.State, disableUniqueness bool) []int {
+func (a *Analysis) growthFeeders(i int, s *core.State, sc *scratch, disableUniqueness bool) {
 	t := a.p.Transitions[i]
 	if t.Spontaneous() {
-		return nil
+		return
 	}
 	if !t.UniquePerSender || disableUniqueness {
-		return a.allFeeders(i)
+		sc.add(a.row(a.feeders, i))
+		return
 	}
-	contributing, _ := s.Msgs.MatchingBySender(t.Proc, t.MsgType, t.Peers)
-	have := make(map[core.ProcessID]bool, len(contributing))
-	for _, q := range contributing {
-		have[q] = true
-	}
-	var out []int
-	//lint:nondet-ok out is sorted before return
-	for q, fs := range a.feeders[i] {
-		if !have[q] {
-			out = append(out, fs...)
-		}
-	}
-	sort.Ints(out)
-	return out
+	a.addFeedersExcept(sc, i, sc.sendersOf(t, s))
 }
 
-// net returns a necessary enabling set for the disabled transition i at
-// state s: every path on which i becomes enabled must execute one of the
-// returned transitions first. The tightest applicable condition is chosen
-// (the LPOR-NET optimization):
+// net adds a necessary enabling set for the disabled transition i at state
+// s: every path on which i becomes enabled must execute one of the added
+// transitions first. The tightest applicable condition is chosen (the
+// LPOR-NET optimization):
 //
 //  1. the local-state guard is false — only the process's own
 //     state-writing transitions can change that;
@@ -288,40 +356,23 @@ func (a *Analysis) growthFeeders(i int, s *core.State, disableUniqueness bool) [
 //     empty set is a valid NET;
 //  3. otherwise the content guard rejects every candidate set — a local
 //     change or different message contents are needed.
-func (a *Analysis) net(i int, s *core.State, disableNET bool) []int {
+func (a *Analysis) net(i int, s *core.State, sc *scratch, disableNET bool) {
 	t := a.p.Transitions[i]
-	if !t.LocalGuardOK(s.Locals[t.Proc]) {
-		return a.writers[i]
+	if !t.LocalGuardOK(s.Locals[t.Proc]) || t.Spontaneous() {
+		// For a spontaneous transition whose LocalGuard (if any) holds,
+		// the full guard must be local-state based too.
+		sc.add(a.row(a.writers, i))
+		return
 	}
-	if t.Spontaneous() {
-		// LocalGuard (if any) holds yet the transition is disabled: the
-		// full guard must be local-state based too.
-		return a.writers[i]
-	}
-	if !a.p.StructurallyEnabled(t, s) {
-		missing := a.p.MissingSenders(t, s)
-		if missing == nil || disableNET {
-			return a.allFeeders(i)
+	have := sc.sendersOf(t, s)
+	if !t.EnoughSenders(have.Len()) {
+		if t.Peers == nil || disableNET {
+			sc.add(a.row(a.feeders, i))
+		} else {
+			a.addFeedersExcept(sc, i, have)
 		}
-		var out []int
-		for _, q := range missing {
-			out = append(out, a.feeders[i][q]...)
-		}
-		sort.Ints(out)
-		return out
+		return
 	}
-	out := append([]int(nil), a.writers[i]...)
-	out = append(out, a.allFeeders(i)...)
-	sort.Ints(out)
-	return out
-}
-
-func (a *Analysis) allFeeders(i int) []int {
-	var out []int
-	//lint:nondet-ok out is sorted before return
-	for _, f := range a.feeders[i] {
-		out = append(out, f...)
-	}
-	sort.Ints(out)
-	return out
+	sc.add(a.row(a.writers, i))
+	sc.add(a.row(a.feeders, i))
 }

@@ -51,17 +51,17 @@ func BenchmarkStubbornClosure(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	enabled := map[int]bool{}
-	for _, ev := range p.Enabled(s) {
-		enabled[ev.T.Index()] = true
-	}
+	sc := newScratch(a)
 	seed := -1
-	for idx := range enabled {
-		seed = idx
-		break
+	for _, ev := range p.Enabled(s) {
+		setBit(sc.enabled, ev.T.Index())
+		if seed < 0 {
+			seed = ev.T.Index()
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = a.stubborn(seed, s, enabled, closureConfig{})
+		clear(sc.known) // a fresh state for every closure
+		a.stubborn(seed, s, sc, closureConfig{})
 	}
 }

@@ -42,6 +42,13 @@
 // a reduced expansion never hides an accepting cycle from explore.NDFS,
 // as the differential tests against the Büchi-product oracle pin down.
 //
+// The relations are precomputed as bitsets over transition indices, and
+// the closure works on bitsets too. Expand computes a transition's sender
+// set (which allowed senders have a pending candidate) at most once per
+// state, in working memory taken from a cache for each call: engines call
+// one Expander from several goroutines at once, so an Expander holds no
+// per-state data.
+//
 // In the store matrix (see package explore's doc), static reduction is
 // store-agnostic: the expander only narrows which events an engine
 // executes, never how states are keyed or remembered, so SPOR composes

@@ -1,7 +1,9 @@
 package por
 
 import (
+	"math/bits"
 	"sort"
+	"sync"
 
 	"mpbasset/internal/explore"
 
@@ -42,6 +44,14 @@ type Expander struct {
 	// dropGrowthFeeders exists only so the tests can demonstrate the
 	// unsoundness described above; production code never sets it.
 	dropGrowthFeeders bool
+
+	// scratch caches the per-call working memory of Expand: engines call
+	// Expand concurrently, so each call takes one of its own. Unlike a
+	// sync.Pool, the cache survives garbage collection, which keeps
+	// allocation counts repeatable between runs; it holds at most as many
+	// scratches as there were concurrent calls.
+	mu      sync.Mutex
+	scratch []*scratch
 }
 
 var _ explore.Expander = (*Expander)(nil)
@@ -88,12 +98,14 @@ func (e *Expander) Expand(s *core.State, enabled []core.Event, _ explore.Proviso
 	if len(enabled) <= 1 {
 		return enabled
 	}
-	enabledSet := make(map[int]bool)
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	clear(sc.enabled)
+	clear(sc.known)
 	distinct := 0
 	for _, ev := range enabled {
-		idx := ev.T.Index()
-		if !enabledSet[idx] {
-			enabledSet[idx] = true
+		if idx := ev.T.Index(); !hasBit(sc.enabled, idx) {
+			setBit(sc.enabled, idx)
 			distinct++
 		}
 	}
@@ -103,52 +115,67 @@ func (e *Expander) Expand(s *core.State, enabled []core.Event, _ explore.Proviso
 		return enabled
 	}
 
-	var best map[int]bool
+	cfg := closureConfig{
+		disableNET:        e.DisableNET,
+		disableUniqueness: e.DisableUniqueness,
+		dropGrowthFeeders: e.dropGrowthFeeders,
+	}
+	found := false
 	bestSize := distinct
 	for _, seed := range e.seedOrder {
-		if !enabledSet[seed] {
+		if !hasBit(sc.enabled, seed) {
 			continue
 		}
-		stub := e.a.stubborn(seed, s, enabledSet, closureConfig{
-			disableNET:        e.DisableNET,
-			disableUniqueness: e.DisableUniqueness,
-			dropGrowthFeeders: e.dropGrowthFeeders,
-		})
-		size, visible := e.ampleInfo(stub, enabledSet)
+		e.a.stubborn(seed, s, sc, cfg)
+		size, visible := e.ampleInfo(sc)
 		if size >= bestSize || visible {
 			continue
 		}
+		copy(sc.best, sc.inSet)
+		found = true
 		if !e.BestSeed {
-			best = stub
 			break
 		}
-		best = stub
 		bestSize = size
 	}
-	if best == nil {
+	if !found {
 		return enabled
 	}
 	out := make([]core.Event, 0, len(enabled))
 	for _, ev := range enabled {
-		if best[ev.T.Index()] {
+		if hasBit(sc.best, ev.T.Index()) {
 			out = append(out, ev)
 		}
 	}
 	return out
 }
 
+func (e *Expander) getScratch() *scratch {
+	e.mu.Lock()
+	n := len(e.scratch)
+	if n == 0 {
+		e.mu.Unlock()
+		return newScratch(e.a)
+	}
+	sc := e.scratch[n-1]
+	e.scratch = e.scratch[:n-1]
+	e.mu.Unlock()
+	return sc
+}
+
+func (e *Expander) putScratch(sc *scratch) {
+	e.mu.Lock()
+	e.scratch = append(e.scratch, sc)
+	e.mu.Unlock()
+}
+
 // ampleInfo returns the number of distinct enabled transitions in the
-// stubborn set and whether any of them is visible.
-func (e *Expander) ampleInfo(stub, enabled map[int]bool) (size int, visible bool) {
-	//lint:nondet-ok commutative accumulation: size is a count and visible an OR, both order-free
-	for idx := range stub {
-		if !enabled[idx] {
-			continue
-		}
-		size++
-		if e.a.p.Transitions[idx].Visible {
-			visible = true
-		}
+// stubborn set sc.inSet and whether any of them is visible.
+func (e *Expander) ampleInfo(sc *scratch) (size int, visible bool) {
+	for w, in := range sc.inSet {
+		ample := in & sc.enabled[w]
+		size += bits.OnesCount64(ample)
+		visible = visible || ample&e.a.visible[w] != 0
 	}
 	return size, visible
 }
