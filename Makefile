@@ -24,6 +24,10 @@
 # `make lint-sarif` writes SARIF 2.1.0 reports from both drivers
 # (mplint.sarif standalone, mplint-vet.sarif merged from the vet run's
 # per-unit fragments); it is reporting-only, so findings do not fail it.
+# `make perfbench-vet` vets the nested benchmark module (perfbench/, its
+# own go.mod with a replace onto this checkout), which type-checks it
+# against the current internals: the root `./...` patterns never enter a
+# nested module, so nothing else notices when a change breaks its build.
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -32,7 +36,7 @@ FUZZTIME ?= 30s
 BENCH_MAX_STATES ?= 20000
 BENCH_BUDGET ?= 30s
 
-.PHONY: all vet build test race fuzz bench bench-smoke bench-ci bench-baseline lint lint-fix lint-abs lint-sarif mplint ci
+.PHONY: all vet build test race fuzz bench bench-smoke bench-ci bench-baseline lint lint-fix lint-abs lint-sarif mplint perfbench-vet ci
 
 all: ci
 
@@ -109,5 +113,8 @@ lint-sarif: mplint
 	MPLINT_SARIF_DIR=$$dir $(GO) vet -vettool=$(MPLINT) ./... || true; \
 	$(GO) run ./cmd/mplint -merge-sarif $$dir > mplint-vet.sarif; \
 	rm -rf $$dir
+
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 ci: vet build test race

@@ -500,25 +500,16 @@ func BenchmarkParallelDPOR(b *testing.B) {
 	}
 }
 
-// BenchmarkFrontierScheduler compares ParallelBFS's two intra-level
-// schedulers on skewed-frontier workloads — frontiers whose nodes differ
-// widely in expansion cost, where a single shared claim index serializes
-// the pool behind its cache line and per-key stripe locks dominate:
-//
-//   - single-index: the original scheduler (one atomic claim per node,
-//     one stripe lock per successor), kept as the baseline;
-//   - work-stealing: chunked claims over per-worker spans with half-range
-//     stealing, successor keys flushed through SeenBatch (one stripe lock
-//     per ~64 keys).
-//
-// Deep Paxos (thousands of BFS levels with narrow-then-wide frontiers and
-// quorum-enumeration spikes) and combined-split refined multicast (many
-// refined transitions of widely varying enumeration cost per node) are the
-// skew generators. Both schedulers explore the identical state space, so
-// states/op is constant and time/op isolates the scheduling cost; the
-// work-stealing win materializes at 4–8 workers on multi-core hardware
-// (GOMAXPROCS > 1 — on a single hardware thread both schedulers only
-// measure their bookkeeping overhead).
+// BenchmarkFrontierScheduler measures ParallelBFS's work-stealing
+// intra-level scheduler (chunked claims over per-worker spans with
+// half-range stealing, successor keys flushed through SeenBatch) on
+// skewed-frontier workloads — frontiers whose nodes differ widely in
+// expansion cost. Deep Paxos (thousands of BFS levels with
+// narrow-then-wide frontiers and quorum-enumeration spikes) and
+// combined-split refined multicast (many refined transitions of widely
+// varying enumeration cost per node) are the skew generators. states/op
+// is constant across worker counts, so time/op isolates the scheduling
+// cost; it only shows scaling on multi-core hardware (GOMAXPROCS > 1).
 func BenchmarkFrontierScheduler(b *testing.B) {
 	targets := []struct {
 		name string
@@ -538,13 +529,6 @@ func BenchmarkFrontierScheduler(b *testing.B) {
 			return refine.Split(p, refine.Combined)
 		}},
 	}
-	scheds := []struct {
-		name  string
-		sched explore.Sched
-	}{
-		{"single-index", explore.SchedSingleIndex},
-		{"work-stealing", explore.SchedWorkStealing},
-	}
 	for _, tg := range targets {
 		p, err := tg.mk()
 		if err != nil {
@@ -555,23 +539,20 @@ func BenchmarkFrontierScheduler(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, workers := range []int{4, 8} {
-			for _, sc := range scheds {
-				b.Run(fmt.Sprintf("%s/workers-%d/%s", tg.name, workers, sc.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						res, err := explore.ParallelBFS(p, explore.Options{
-							Expander:    exp,
-							Workers:     workers,
-							Sched:       sc.sched,
-							Store:       explore.NewShardedHashStore(),
-							MaxDuration: benchBudget(),
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.ReportMetric(float64(res.Stats.States), "states")
+			b.Run(fmt.Sprintf("%s/workers-%d", tg.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					res, err := explore.ParallelBFS(p, explore.Options{
+						Expander:    exp,
+						Workers:     workers,
+						Store:       explore.NewShardedHashStore(),
+						MaxDuration: benchBudget(),
+					})
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					b.ReportMetric(float64(res.Stats.States), "states")
+				}
+			})
 		}
 	}
 }

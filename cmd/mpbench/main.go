@@ -24,6 +24,7 @@ import (
 	"os"
 	"time"
 
+	"mpbasset"
 	"mpbasset/cmd/internal/profile"
 	"mpbasset/internal/cli"
 	"mpbasset/internal/eval"
@@ -77,34 +78,32 @@ func run(args []string) (err error) {
 		eval.PrintAnalysis(os.Stdout)
 		return nil
 	}
-	// mpbench's stateful cells run SPOR (a DFS search); reuse the shared
-	// flag validation so -steal-depth without -workers (or -spill-dir
-	// without -mem-budget) is rejected, not silently ignored.
-	if err := cli.ValidateParallelFlags("spor", *workers, 0, 0, *stealD); err != nil {
-		return err
-	}
 	memBudget, err := cli.ParseBytes(*memB)
 	if err != nil {
-		return err
-	}
-	if err := cli.ValidateSpillFlags("spor", memBudget, *spillDir); err != nil {
 		return err
 	}
 	bitstateBytes, err := cli.ParseBytes(*bitsB)
 	if err != nil {
 		return err
 	}
-	if err := cli.ValidateLossyFlags("spor", *lossy, bitstateBytes, memBudget, ""); err != nil {
+	opts := eval.Options{
+		Budget: *budget, Paper: *paper,
+		Engine: mpbasset.Options{
+			Search:    mpbasset.SearchSPOR,
+			MaxStates: *maxSt, Workers: *workers, StealDepth: *stealD,
+			StoreBudgetBytes: memBudget, SpillDir: *spillDir,
+			Compress: *compress, Lossy: *lossy, BitstateBytes: bitstateBytes,
+		},
+	}
+	// The tables' stateful cells run SPOR: validating that template through
+	// the facade refuses every flag combination a cell would (-steal-depth
+	// without -workers, -spill-dir without -mem-budget, ...) before any
+	// table runs.
+	if err := opts.Engine.Validate(); err != nil {
 		return err
 	}
 	if *baseline == "" && (*regPct != 25 || *regFloor != 250*time.Millisecond) {
 		return fmt.Errorf("-regress-pct/-regress-floor require -baseline (they tune the regression gate)")
-	}
-	opts := eval.Options{
-		Budget: *budget, MaxStates: *maxSt, Paper: *paper,
-		Workers: *workers, StealDepth: *stealD,
-		StoreBudgetBytes: memBudget, SpillDir: *spillDir,
-		Compress: *compress, Lossy: *lossy, BitstateBytes: bitstateBytes,
 	}
 	var report eval.Report
 	emit := func(title string, rows []eval.Row) error {

@@ -89,64 +89,6 @@ func BuildProtocol(protocol, setting, model string, wrong bool) (*core.Protocol,
 	}
 }
 
-// dfsSearch reports whether the CLI search name selects a DFS-based
-// stateful search ("dfs" is the CLI alias for "unreduced").
-func dfsSearch(search string) bool {
-	switch search {
-	case "spor", "unreduced", "dfs":
-		return true
-	}
-	return false
-}
-
-// stealEngine names the speculative engine a search's -workers selects,
-// for the error messages of ValidateParallelFlags.
-func stealEngine(search string) string {
-	if search == "dpor" {
-		return "parallel DPOR"
-	}
-	return "parallel DFS"
-}
-
-// ValidateParallelFlags checks the parallel-search flag combinations the
-// CLIs accept: -workers requires a search with a parallel engine — the DFS
-// searches (spor, unreduced and its dfs alias) run the speculative
-// parallel DFS engine, bfs the frontier-parallel BFS engine, and dpor the
-// speculative parallel DPOR engine. Only the stateless search has no
-// parallel counterpart. The tuning knobs are engine-specific and rejected
-// elsewhere instead of silently ignored: -chunk/-batch tune the BFS
-// frontier scheduler (they keep their original rule of requiring -workers,
-// and additionally need the bfs search), while -steal-depth tunes subtree
-// speculation and needs -workers with a DFS or dpor search.
-func ValidateParallelFlags(search string, workers, chunk, batch, stealDepth int) error {
-	if workers > 0 {
-		if !dfsSearch(search) && search != "bfs" && search != "dpor" {
-			return fmt.Errorf("-workers requires a search with a parallel engine (spor, unreduced, dfs, bfs or dpor), not %q", search)
-		}
-	} else {
-		if chunk != 0 {
-			return fmt.Errorf("-chunk requires -workers (it tunes the parallel BFS scheduler's claim size)")
-		}
-		if batch != 0 {
-			return fmt.Errorf("-batch requires -workers (it tunes the parallel BFS visited-set insert batching)")
-		}
-		if stealDepth != 0 {
-			return fmt.Errorf("-steal-depth requires -workers (it tunes parallel DFS/DPOR subtree speculation)")
-		}
-		return nil
-	}
-	if chunk != 0 && search != "bfs" {
-		return fmt.Errorf("-chunk tunes the parallel BFS frontier scheduler; the %q search runs %s (tune -steal-depth instead)", search, stealEngine(search))
-	}
-	if batch != 0 && search != "bfs" {
-		return fmt.Errorf("-batch tunes the parallel BFS insert batching; the %q search runs %s (tune -steal-depth instead)", search, stealEngine(search))
-	}
-	if stealDepth != 0 && !dfsSearch(search) && search != "dpor" {
-		return fmt.Errorf("-steal-depth tunes parallel DFS/DPOR subtree speculation; the %q search runs parallel BFS (tune -chunk/-batch instead)", search)
-	}
-	return nil
-}
-
 // decimalDigits reports whether s consists of ASCII decimal digits only
 // (vacuously true for the empty string).
 func decimalDigits(s string) bool {
@@ -224,94 +166,21 @@ func ParseBytes(s string) (int64, error) {
 	return bytes, nil
 }
 
-// ValidateSpillFlags checks the spill-store flag combinations the CLIs
-// accept: -mem-budget requires a stateful search (stateless and DPOR
-// searches keep no visited set to spill), and -spill-dir is meaningless
-// without -mem-budget — passing it alone is rejected instead of silently
-// ignored, mirroring ValidateParallelFlags.
-func ValidateSpillFlags(search string, budgetBytes int64, spillDir string) error {
-	if budgetBytes > 0 {
-		if dfsSearch(search) || search == "bfs" {
-			return nil
-		}
-		return fmt.Errorf("-mem-budget requires a stateful search (spor, unreduced, dfs or bfs), not %q", search)
-	}
-	if spillDir != "" {
-		return fmt.Errorf("-spill-dir requires -mem-budget (the spill directory is meaningless without a memory budget)")
-	}
-	return nil
-}
-
-// ValidateLossyFlags checks the lossy-store flag combinations the CLIs
-// accept: -lossy requires a stateful search (stateless and DPOR searches
-// keep no visited set, and DPOR's soundness argument assumes exactness
-// anyway), excludes -property (nested-DFS cycle detection needs an exact
-// visited set), excludes -mem-budget (the bitstate store never grows — its
-// size is -bitstate-bytes), and -bitstate-bytes is meaningless without
-// -lossy. Mirrors ValidateSpillFlags.
-func ValidateLossyFlags(search string, lossy bool, bitstateBytes, budgetBytes int64, property string) error {
-	if !lossy {
-		if bitstateBytes != 0 {
-			return fmt.Errorf("-bitstate-bytes requires -lossy (it sizes the lossy bitstate store's bit array)")
-		}
-		return nil
-	}
-	if !dfsSearch(search) && search != "bfs" {
-		return fmt.Errorf("-lossy requires a stateful search (spor, unreduced, dfs or bfs), not %q", search)
-	}
-	if property != "" {
-		return fmt.Errorf("-lossy is incompatible with -property: nested-DFS cycle detection needs an exact visited set")
-	}
-	if budgetBytes > 0 {
-		return fmt.Errorf("-lossy is incompatible with -mem-budget: the bitstate store never grows, size it with -bitstate-bytes instead")
-	}
-	return nil
-}
-
-// ValidateCompressFlags checks the collapse-compression flag combinations
-// the CLIs accept: -compress requires a stateful search (stateless and
-// DPOR searches keep no visited set to compress) and excludes -symmetry
-// (symmetry reduction installs its own canonicalizer, and a run gets
-// exactly one).
-func ValidateCompressFlags(search string, compress, symmetry bool) error {
-	if !compress {
-		return nil
-	}
-	if !dfsSearch(search) && search != "bfs" {
-		return fmt.Errorf("-compress requires a stateful search (spor, unreduced, dfs or bfs), not %q", search)
-	}
-	if symmetry {
-		return fmt.Errorf("-compress is incompatible with -symmetry: symmetry reduction installs its own canonicalizer")
-	}
-	return nil
-}
-
-// ValidateLivenessFlags checks the liveness flag combinations the CLIs
-// accept: -property selects the nested-DFS liveness engines, which exist
-// only for the DFS searches (spor, unreduced and its dfs alias) — bfs,
-// stateless and dpor have no Büchi cycle detection and are rejected
-// instead of silently checking the wrong thing — and -fair is a property
-// modifier, meaningless without -property. Mirrors ValidateParallelFlags.
-func ValidateLivenessFlags(search, property string, fair bool) error {
-	if property == "" {
-		if fair {
-			return fmt.Errorf("-fair requires -property (it restricts that property's counterexamples to weakly fair schedules)")
-		}
-		return nil
-	}
-	if !dfsSearch(search) {
-		return fmt.Errorf("-property requires a nested-DFS search (spor, unreduced or dfs), not %q: liveness checking needs the stack-based cycle detection those searches run on", search)
-	}
-	return nil
-}
-
 // BuildProperty instantiates a bundled liveness property for a bundled
 // protocol from CLI-style arguments. protocol, setting and model must be
 // the same values BuildProtocol was called with, so the property's process
 // IDs match the checked instance. Supported property names: "decided"
 // (paxos, faulty-paxos), "delivered" (multicast), "reads-complete"
-// (storage). fair restricts counterexamples to weakly fair schedules.
+// (storage). fair restricts counterexamples to weakly fair schedules. An
+// empty property name means safety checking: the result is nil, and fair,
+// a property modifier, is refused.
 func BuildProperty(protocol, setting, model, property string, fair bool) (*liveness.Property, error) {
+	if property == "" {
+		if fair {
+			return nil, fmt.Errorf("-fair requires -property (it restricts that property's counterexamples to weakly fair schedules)")
+		}
+		return nil, nil
+	}
 	single := model == "single"
 	var (
 		prop *liveness.Property

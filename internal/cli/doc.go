@@ -1,14 +1,14 @@
 // Package cli holds the testable core of the command-line tools: parsing
-// protocol settings, byte-size and duration flags, and instantiating the
-// bundled protocol models for cmd/mpcheck and cmd/mpbench.
+// protocol settings, byte sizes and split names, and instantiating the
+// bundled protocol models and their liveness properties for cmd/mpcheck
+// and cmd/mpbench.
 //
-// The package sits outside the determinism contract — it runs before any
-// engine does — but it guards the contract's boundary: the Validate*
-// functions mirror the mpbasset facade's option rejections flag for flag,
-// so an unsound combination (DPOR with a visited store, a liveness
-// property on a lossy bitstate store, symmetry canonicalization stacked
-// on collapse compression) is refused with the same reasoning whether the
-// request arrives through the Go API or a command line. See the store/
-// engine matrix in package explore's doc for which combinations exist and
-// why the excluded ones are excluded.
+// The package parses and builds; it does not judge option combinations.
+// Both CLIs turn their flags into an mpbasset.Options and let
+// Options.Validate — the facade's single rule set — refuse what no engine
+// can honour, so a request is accepted or refused with the same reasoning
+// whether it arrives through the Go API or a command line. The one flag
+// rule kept here is BuildProperty's: -fair modifies a property and means
+// nothing without one. The package runs before any engine does and sits
+// outside the determinism contract.
 package cli

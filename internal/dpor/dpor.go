@@ -6,6 +6,7 @@ import (
 	"mpbasset/internal/core"
 	"mpbasset/internal/explore"
 	"mpbasset/internal/por"
+	"mpbasset/internal/spec"
 )
 
 // Config tunes the DPOR engine beyond the generic search options.
@@ -108,7 +109,7 @@ type engine struct {
 	// worker-built expansion records push consumes; publish announces a
 	// newly scheduled backtrack point as a steal target; specHits counts
 	// consumed records (surfaced as the volatile Stats.SpeculationHits).
-	memo     *specMemo
+	memo     *spec.Memo[specRecord]
 	publish  func(specTarget)
 	specHits int
 }
@@ -267,7 +268,7 @@ func (e *engine) push(s *core.State) {
 	e.res.Stats.States++
 	var rec *specRecord
 	if e.memo != nil {
-		if rec = e.memo.take(s.Key()); rec != nil {
+		if rec = e.memo.Take(s.Key()); rec != nil {
 			e.specHits++
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"mpbasset/internal/core"
 	"mpbasset/internal/explore"
+	"mpbasset/internal/spec"
 )
 
 // ExploreParallel runs the DPOR-reduced stateless search with a worker
@@ -57,8 +58,8 @@ func ExploreParallelWith(p *core.Protocol, opts explore.Options, cfg Config) (*e
 	e := &engine{p: p, a: a, opts: opts, cfg: cfg}
 
 	var (
-		memo       specMemo
-		queue      = newSpecQueue()
+		memo       spec.Memo[specRecord]
+		queue      = spec.NewQueue[specTarget]()
 		stop       atomic.Bool
 		wg         sync.WaitGroup
 		specVisits atomic.Int64
@@ -69,7 +70,7 @@ func ExploreParallelWith(p *core.Protocol, opts explore.Options, cfg Config) (*e
 	}
 	depthBudget := opts.StealDepth
 	if depthBudget <= 0 {
-		depthBudget = specStealDepth
+		depthBudget = spec.DefaultStealDepth
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -80,10 +81,10 @@ func ExploreParallelWith(p *core.Protocol, opts explore.Options, cfg Config) (*e
 	}
 
 	e.memo = &memo
-	e.publish = queue.publish
+	e.publish = func(t specTarget) { queue.Publish(t) }
 	res, runErr := e.run()
 	stop.Store(true)
-	queue.close()
+	queue.Close()
 	wg.Wait()
 	if res != nil {
 		res.Stats.SpeculatedVisits = int(specVisits.Load())
@@ -97,7 +98,7 @@ func ExploreParallelWith(p *core.Protocol, opts explore.Options, cfg Config) (*e
 // the per-steal budget, the depth bound, the memo capacity or shutdown
 // stops it. An Execute failure on the stolen edge just drops the target —
 // the walk surfaces the error itself if it ever commits that edge.
-func speculate(p *core.Protocol, memo *specMemo, queue *specQueue, stop *atomic.Bool, visits *atomic.Int64, depthBudget int) {
+func speculate(p *core.Protocol, memo *spec.Memo[specRecord], queue *spec.Queue[specTarget], stop *atomic.Bool, visits *atomic.Int64, depthBudget int) {
 	type specNode struct {
 		st    *core.State
 		key   string
@@ -105,7 +106,7 @@ func speculate(p *core.Protocol, memo *specMemo, queue *specQueue, stop *atomic.
 	}
 	nodes := make([]specNode, 0, 64)
 	for {
-		tgt, ok := queue.pop()
+		tgt, ok := queue.Pop()
 		if !ok {
 			return
 		}
@@ -114,20 +115,20 @@ func speculate(p *core.Protocol, memo *specMemo, queue *specQueue, stop *atomic.
 			continue
 		}
 		nodes = append(nodes[:0], specNode{st: ns, key: ns.Key()})
-		budget := specStealBudget
-		for len(nodes) > 0 && budget > 0 && !stop.Load() && !memo.full() {
+		budget := spec.StealBudget
+		for len(nodes) > 0 && budget > 0 && !stop.Load() && !memo.Full() {
 			n := nodes[len(nodes)-1]
 			nodes = nodes[:len(nodes)-1]
-			if memo.has(n.key) {
+			if memo.Contains(n.key) {
 				continue
 			}
 			rec := specBuild(p, n.st)
-			switch memo.put(n.key, rec) {
-			case specStored:
+			switch memo.Put(n.key, rec) {
+			case spec.Stored:
 				visits.Add(1)
-			case specDup:
+			case spec.Dup:
 				continue
-			case specFull:
+			case spec.Full:
 				nodes = nodes[:0]
 				continue
 			}

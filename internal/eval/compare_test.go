@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mpbasset"
 	"mpbasset/internal/explore"
 )
 
@@ -171,7 +172,7 @@ func TestCompareReportsGate(t *testing.T) {
 // (halved durations on a slow-enough cell, then drifted state counts)
 // must fail with the right kinds — the shape of the CI wiring.
 func TestCompareReportsEndToEnd(t *testing.T) {
-	rows, err := Table1(Options{Budget: 30 * time.Second, MaxStates: 500})
+	rows, err := Table1(Options{Budget: 30 * time.Second, Engine: mpbasset.Options{MaxStates: 500}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,13 @@
 // analyzer cross-checks that partition against explore.Stats, so a new
 // statistic cannot ship without being classified.
 //
-// In the engine/store matrix, eval is the row driver: every cell it emits
-// names one engine (DFS, BFS, their parallel twins, DPOR, NDFS) crossed
-// with one reduction (none, SPOR, refinement, symmetry) and one store
-// tier (exact, fingerprint, sharded, spill, bitstate) or compression
-// mode. Cells over lossy or compressed tiers set Options accordingly and
-// inherit the facade's soundness gating.
+// Every cell runs through mpbasset.Check, the one engine dispatcher:
+// Options.Engine carries the facade options the table shares (workers,
+// state cap, store tier), each cell sets its search and liveness
+// property, and the facade picks the engine, builds the store and
+// validates the combination. A cell therefore measures exactly what a
+// library caller or mpcheck run with the same options would get. Cells
+// whose engine cannot honour a table-wide setting drop it explicitly —
+// DPOR cells the store tier, liveness cells the lossy store — and the
+// store-tier table names its tiers per cell.
 package eval

@@ -6,65 +6,35 @@ import (
 	"strings"
 	"time"
 
+	"mpbasset"
 	"mpbasset/internal/core"
-	"mpbasset/internal/dpor"
 	"mpbasset/internal/explore"
-	"mpbasset/internal/por"
+	"mpbasset/internal/liveness"
 	"mpbasset/internal/refine"
 )
 
 // Options configures a table run.
 type Options struct {
 	// Budget bounds each cell's wall-clock time (the analogue of the
-	// paper's 48 h timeout); default 60 s.
+	// paper's 48 h timeout); default 60 s. It becomes every cell's
+	// mpbasset.Options.MaxDuration.
 	Budget time.Duration
-	// MaxStates bounds each cell's state count; 0 = unlimited.
-	MaxStates int
 	// Paper selects the paper-scale workloads (larger settings where our
 	// defaults are reduced); currently this enables the Echo Multicast
 	// (3,1,1,1) row of Table II and doubles the Paxos ballots.
 	Paper bool
-	// Workers > 0 runs the stateful cells (SPOR, unreduced) with the
-	// speculative parallel DFS engine and the DPOR cells with the
-	// speculative parallel DPOR engine, each with that many workers —
-	// sound on any model (the DFS commit walk enforces the stack variant
-	// of the ignoring proviso; the DPOR commit walk replays the sequential
-	// exploration verbatim) and bit-identical to the sequential cells:
-	// verdicts, state and event counts never change, only wall-clock.
-	Workers int
-	// StealDepth bounds one stolen subtree's speculation in the parallel
-	// DFS and DPOR cells (events below a stolen sibling or backtrack
-	// point before the worker steals afresh); 0 selects the engine
-	// default. It never changes cell results, only throughput, and is
-	// ignored without Workers.
-	StealDepth int
-	// StoreBudgetBytes > 0 runs the stateful cells over a two-tier
-	// explore.SpillStore: the visited set's in-memory hot tier is bounded
-	// by the budget and spills sorted fingerprint runs to disk. Cell
-	// results (verdicts, state and event counts) are bit-identical to the
-	// in-memory stores; only the cell's wall-clock changes. DPOR cells
-	// keep no visited set and ignore it.
-	StoreBudgetBytes int64
-	// SpillDir is the spill store's run-file directory; empty means a
-	// fresh temporary directory per cell, removed when the cell finishes.
-	// Only meaningful with StoreBudgetBytes > 0.
-	SpillDir string
-	// Compress runs the stateful cells with collapse compression: a fresh
-	// explore.Collapser per cell interns state components so stored keys
-	// shrink to component IDs. Cell results (verdicts, state and event
-	// counts) are bit-identical to uncompressed cells — the mapping is
-	// injective — so only wall-clock changes. DPOR cells keep no visited
-	// set and ignore it.
-	Compress bool
-	// Lossy runs the stateful cells over an explicitly lossy
-	// explore.BitstateStore sized by BitstateBytes instead of an exact
-	// store. Lossy cells are coverage claims: their state counts are a
-	// floor, and their "Verified" verdicts only mean no violation was found
-	// among the states visited. DPOR cells ignore it.
-	Lossy bool
-	// BitstateBytes sizes the lossy cells' bit array; 0 means the
-	// explore.BitstateStore 64 MiB default. Only meaningful with Lossy.
-	BitstateBytes int64
+	// Engine holds the engine settings every cell hands to
+	// mpbasset.Check: MaxStates, Workers and StealDepth (the stateful
+	// cells run the speculative parallel DFS or NDFS engine, the DPOR
+	// cells the speculative parallel DPOR engine, all bit-identical to
+	// their sequential cells), and the store tier — StoreBudgetBytes and
+	// SpillDir, Compress, Lossy and BitstateBytes — whose exact tiers
+	// leave cell results bit-identical and whose lossy tier turns state
+	// counts into coverage claims. Each cell sets Search, Property and
+	// MaxDuration itself. DPOR cells keep no visited set and clear the
+	// store tier; liveness cells need an exact visited set and clear
+	// Lossy; the store-tier table picks its own tiers.
+	Engine mpbasset.Options
 }
 
 func (o Options) budget() time.Duration {
@@ -93,23 +63,22 @@ type Row struct {
 	Cells    []Cell
 }
 
-// run executes one search and converts the result into a cell. A spill
-// store configured by stateful() owns disk state and is released here
-// once the cell's search returns.
-func run(column string, p *core.Protocol, opts Options, search func(*core.Protocol, explore.Options) (*explore.Result, error), xo explore.Options) Cell {
-	xo.MaxDuration = opts.budget()
-	xo.MaxStates = opts.MaxStates
-	if xo.Store == nil {
-		xo.Store = explore.NewHashStore()
-	}
-	res, err := search(p, xo)
-	if c, ok := xo.Store.(io.Closer); ok {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
-	}
+// engine returns the facade options of one cell: the table's engine
+// settings with the cell's search and property, bounded by the budget.
+func (o Options) engine(search mpbasset.Search, prop *liveness.Property) mpbasset.Options {
+	e := o.Engine
+	e.Search, e.Property = search, prop
+	e.MaxDuration = o.budget()
+	return e
+}
+
+// check runs one search through the facade and converts the result into
+// a cell; the result itself (nil on error) is returned for cells that
+// annotate it.
+func check(column string, p *core.Protocol, e mpbasset.Options) (Cell, *mpbasset.Result) {
+	res, err := mpbasset.Check(p, e)
 	if err != nil {
-		return Cell{Column: column, Err: err}
+		return Cell{Column: column, Err: err}, nil
 	}
 	c := Cell{
 		Column:   column,
@@ -121,84 +90,40 @@ func run(column string, p *core.Protocol, opts Options, search func(*core.Protoc
 	if res.Verdict == explore.VerdictLimit {
 		c.Note = "timeout"
 	}
-	return c
-}
-
-// stateful selects the sequential DFS engine or, when opts.Workers is set,
-// the speculative parallel DFS engine (bit-identical results) with a
-// sharded concurrent store. With StoreBudgetBytes it backs either engine
-// with a fresh spill store (the SpillStore is concurrency-safe, so the
-// same store serves both); run() closes it when the cell finishes.
-func (o Options) stateful(xo explore.Options) (func(*core.Protocol, explore.Options) (*explore.Result, error), explore.Options, error) {
-	engine := explore.DFS
-	if o.Workers > 0 {
-		xo.Workers = o.Workers
-		xo.StealDepth = o.StealDepth
-		engine = explore.ParallelDFS
-	}
-	if o.Compress {
-		// One collapser per cell: intern-table IDs are run-internal names,
-		// and cells must not share visited-set state.
-		xo.Canon = explore.NewCollapser().Canon
-	}
-	switch {
-	case o.Lossy:
-		xo.Store = explore.NewBitstateStore(o.BitstateBytes, 0)
-	case o.StoreBudgetBytes > 0:
-		sp, err := explore.NewSpillStore(explore.SpillConfig{BudgetBytes: o.StoreBudgetBytes, Dir: o.SpillDir})
-		if err != nil {
-			return nil, xo, err
-		}
-		xo.Store = sp
-	case o.Workers > 0:
-		xo.Store = explore.NewShardedHashStore()
-	}
-	return engine, xo, nil
+	return c, res
 }
 
 // RunSPOR is the standard stateful DFS + static POR cell used across both
-// tables (speculative parallel DFS when Options.Workers is set).
+// tables (speculative parallel DFS when Engine.Workers is set).
 func RunSPOR(column string, p *core.Protocol, opts Options) Cell {
-	exp, err := por.NewExpander(p)
-	if err != nil {
-		return Cell{Column: column, Err: err}
-	}
-	search, xo, err := opts.stateful(explore.Options{Expander: exp})
-	if err != nil {
-		return Cell{Column: column, Err: err}
-	}
-	return run(column, p, opts, search, xo)
+	c, _ := check(column, p, opts.engine(mpbasset.SearchSPOR, nil))
+	return c
 }
 
 // RunDPOR is the stateless dynamic-POR cell (single-message models only);
-// speculative parallel DPOR when Options.Workers is set, with results
-// bit-identical to the sequential engine.
+// speculative parallel DPOR when Engine.Workers is set, with results
+// bit-identical to the sequential engine. DPOR keeps no visited set, so
+// the cell clears the table's store tier, which the facade would reject.
 func RunDPOR(column string, p *core.Protocol, opts Options) Cell {
-	engine, xo := dpor.Explore, explore.Options{}
-	if opts.Workers > 0 {
-		xo.Workers = opts.Workers
-		xo.StealDepth = opts.StealDepth
-		engine = dpor.ExploreParallel
-	}
-	return run(column, p, opts, engine, xo)
+	e := opts.engine(mpbasset.SearchDPOR, nil)
+	e.ExactStates, e.StoreBudgetBytes, e.SpillDir = false, 0, ""
+	e.Compress, e.Lossy, e.BitstateBytes = false, false, 0
+	c, _ := check(column, p, e)
+	return c
 }
 
 // RunUnreduced is the plain stateful cell.
 func RunUnreduced(column string, p *core.Protocol, opts Options) Cell {
-	search, xo, err := opts.stateful(explore.Options{})
-	if err != nil {
-		return Cell{Column: column, Err: err}
-	}
-	return run(column, p, opts, search, xo)
+	c, _ := check(column, p, opts.engine(mpbasset.SearchUnreduced, nil))
+	return c
 }
 
-// split refines p and runs SPOR (Table II cells).
+// runSplit runs SPOR over p refined by strat (Table II cells).
 func runSplit(p *core.Protocol, strat refine.Strategy, opts Options) Cell {
-	sp, err := refine.Split(p, strat)
-	if err != nil {
-		return Cell{Column: strat.String(), Err: err}
-	}
-	return RunSPOR(strat.String(), sp, opts)
+	e := opts.engine(mpbasset.SearchSPOR, nil)
+	e.Split = strat
+	c, _ := check(strat.String(), p, e)
+	return c
 }
 
 // FormatRows renders rows in the paper's table style.

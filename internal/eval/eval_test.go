@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mpbasset"
 	"mpbasset/internal/core"
 	"mpbasset/internal/explore"
 	"mpbasset/internal/liveness"
@@ -116,10 +117,10 @@ func TestCellsUnderMemoryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 4} {
-		base := Options{Budget: time.Minute, Workers: workers}
+		base := Options{Budget: time.Minute, Engine: mpbasset.Options{Workers: workers}}
 		budgeted := base
-		budgeted.StoreBudgetBytes = 2048
-		budgeted.SpillDir = t.TempDir()
+		budgeted.Engine.StoreBudgetBytes = 2048
+		budgeted.Engine.SpillDir = t.TempDir()
 		for _, cell := range []struct {
 			name string
 			run  func(Options) Cell
@@ -245,8 +246,8 @@ func TestLivenessCellsParallelAndSpilled(t *testing.T) {
 			name string
 			opts Options
 		}{
-			{"workers-4", Options{Budget: time.Minute, Workers: 4}},
-			{"spill-1KiB", Options{Budget: time.Minute, StoreBudgetBytes: 1 << 10, SpillDir: t.TempDir()}},
+			{"workers-4", Options{Budget: time.Minute, Engine: mpbasset.Options{Workers: 4}}},
+			{"spill-1KiB", Options{Budget: time.Minute, Engine: mpbasset.Options{StoreBudgetBytes: 1 << 10, SpillDir: t.TempDir()}}},
 		} {
 			p, prop, err := build()
 			if err != nil {

@@ -3,9 +3,8 @@ package eval
 import (
 	"fmt"
 
+	"mpbasset"
 	"mpbasset/internal/core"
-	"mpbasset/internal/explore"
-	"mpbasset/internal/por"
 	"mpbasset/internal/protocols/paxos"
 	"mpbasset/internal/protocols/storage"
 )
@@ -44,30 +43,32 @@ const storeTierBudget = 256 << 10
 // parallel run's bitstate store omits depends on visit order, and this
 // table's numbers feed the committed baseline.
 func StoreTierTable(opts Options) ([]Row, error) {
-	opts.Workers = 0
-	opts.Lossy = false
-	opts.Compress = false
+	// Only the state cap carries over: every cell names its own tier.
+	maxStates := opts.Engine.MaxStates
+	tier := func(column string, p *core.Protocol, e mpbasset.Options) (Cell, *mpbasset.Result) {
+		e.Search, e.MaxDuration = mpbasset.SearchSPOR, opts.budget()
+		if e.MaxStates == 0 {
+			e.MaxStates = maxStates
+		}
+		return check(column, p, e)
+	}
 
 	sp, err := storage.New(storage.Config{Objects: 3, Readers: 1, Model: storage.ModelQuorum})
 	if err != nil {
 		return nil, err
 	}
 	compressRow := Row{Protocol: "Regular storage", Setting: "(3,1) quorum", Property: "Read regularity"}
-	for _, tier := range []struct {
-		column   string
-		store    func() explore.Store
-		compress bool
+	for _, t := range []struct {
+		column string
+		e      mpbasset.Options
 	}{
-		{"SPOR hash", func() explore.Store { return explore.NewHashStore() }, false},
-		{"SPOR exact", func() explore.Store { return explore.NewExactStore() }, false},
-		{"SPOR collapse hash", func() explore.Store { return explore.NewHashStore() }, true},
-		{"SPOR collapse exact", func() explore.Store { return explore.NewExactStore() }, true},
+		{"SPOR hash", mpbasset.Options{}},
+		{"SPOR exact", mpbasset.Options{ExactStates: true}},
+		{"SPOR collapse hash", mpbasset.Options{Compress: true}},
+		{"SPOR collapse exact", mpbasset.Options{Compress: true, ExactStates: true}},
 	} {
-		xo := explore.Options{Store: tier.store()}
-		if tier.compress {
-			xo.Canon = explore.NewCollapser().Canon
-		}
-		compressRow.Cells = append(compressRow.Cells, runSPORCell(tier.column, sp, opts, xo))
+		c, _ := tier(t.column, sp, t.e)
+		compressRow.Cells = append(compressRow.Cells, c)
 	}
 
 	px, err := paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1, Model: paxos.ModelQuorum})
@@ -77,33 +78,19 @@ func StoreTierTable(opts Options) ([]Row, error) {
 	budgetStates := storeTierBudget / hashEntryBytes
 	bitstateRow := Row{Protocol: "Paxos", Setting: "(2,3,1) quorum", Property: "Consensus"}
 
-	capped := opts
-	if capped.MaxStates == 0 || capped.MaxStates > budgetStates {
-		capped.MaxStates = budgetStates
+	capped := budgetStates
+	if maxStates != 0 && maxStates < budgetStates {
+		capped = maxStates
 	}
-	cell := runSPORCell(fmt.Sprintf("SPOR exact @%dKiB", storeTierBudget>>10), px, capped,
-		explore.Options{Store: explore.NewHashStore()})
-	cell.Note = fmt.Sprintf("capped at %d states (%d B/state)", budgetStates, hashEntryBytes)
-	bitstateRow.Cells = append(bitstateRow.Cells, cell)
+	c, _ := tier(fmt.Sprintf("SPOR exact @%dKiB", storeTierBudget>>10), px, mpbasset.Options{MaxStates: capped})
+	c.Note = fmt.Sprintf("capped at %d states (%d B/state)", budgetStates, hashEntryBytes)
+	bitstateRow.Cells = append(bitstateRow.Cells, c)
 
-	bits := explore.NewBitstateStore(storeTierBudget, 0)
-	cell = runSPORCell(fmt.Sprintf("SPOR bitstate @%dKiB", storeTierBudget>>10), px, opts,
-		explore.Options{Store: bits})
-	fill, omission := bits.BitstateStats()
-	cell.Note = fmt.Sprintf("lossy coverage: fill %.4f, omission ~%.1e", fill, omission)
-	bitstateRow.Cells = append(bitstateRow.Cells, cell)
+	c, res := tier(fmt.Sprintf("SPOR bitstate @%dKiB", storeTierBudget>>10), px, mpbasset.Options{Lossy: true, BitstateBytes: storeTierBudget})
+	if res != nil {
+		c.Note = fmt.Sprintf("lossy coverage: fill %.4f, omission ~%.1e", res.Stats.BitstateFill, res.Stats.BitstateOmission)
+	}
+	bitstateRow.Cells = append(bitstateRow.Cells, c)
 
 	return []Row{compressRow, bitstateRow}, nil
-}
-
-// runSPORCell runs one SPOR cell over a caller-chosen store and canon —
-// the store-tier table picks those per cell, unlike RunSPOR, which derives
-// them from Options.
-func runSPORCell(column string, p *core.Protocol, opts Options, xo explore.Options) Cell {
-	exp, err := por.NewExpander(p)
-	if err != nil {
-		return Cell{Column: column, Err: err}
-	}
-	xo.Expander = exp
-	return run(column, p, opts, explore.DFS, xo)
 }

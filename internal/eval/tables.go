@@ -138,7 +138,7 @@ func Table1(opts Options) ([]Row, error) {
 			// bench gate continuously checks the parallel engine against the
 			// sequential cell above (bit-identical counts by construction).
 			p2 := opts
-			p2.Workers, p2.StealDepth = 2, 0
+			p2.Engine.Workers, p2.Engine.StealDepth = 2, 0
 			row.Cells = append(row.Cells, RunDPOR("no-quorum DPOR-p2", sp, p2))
 		}
 		row.Cells = append(row.Cells,

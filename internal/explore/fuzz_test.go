@@ -3,8 +3,8 @@
 // size, cycle priority, fault/quorum knobs — or the ignoring trap), and
 // every stateful engine must agree on it, over in-memory and spill-to-disk
 // stores alike. Any divergence in verdict, state count, statistics or
-// replayed trace fails the input. The BFS family (BFS, ParallelBFS under
-// both schedulers) is held bit-identical to sequential BFS; the parallel
+// replayed trace fails the input. The BFS family (BFS, ParallelBFS at
+// several worker counts) is held bit-identical to sequential BFS; the parallel
 // DFS family (ParallelDFS at several worker counts and steal depths) is
 // held bit-identical to sequential DFS, unreduced and SPOR-reduced alike.
 // The seed corpus covers IgnoringTrap and the soundness-matrix
@@ -64,23 +64,21 @@ import (
 const fuzzMaxStates = 5000
 
 // fuzzEngines is the BFS-side engine matrix of the harness: sequential BFS
-// and DFS plus ParallelBFS at 1 and 4 workers under both schedulers.
+// and DFS plus ParallelBFS at 1 and 4 workers.
 // Sequential BFS doubles as the reference when run over the in-memory
 // store.
 func fuzzEngines() []diffEngine {
-	parallel := func(workers int, sched explore.Sched) func(*core.Protocol, explore.Options) (*explore.Result, error) {
+	parallel := func(workers int) func(*core.Protocol, explore.Options) (*explore.Result, error) {
 		return func(p *core.Protocol, xo explore.Options) (*explore.Result, error) {
 			xo.Workers = workers
-			xo.Sched = sched
 			return explore.ParallelBFS(p, xo)
 		}
 	}
 	return []diffEngine{
 		{"BFS", explore.BFS, true},
 		{"DFS", explore.DFS, false},
-		{"ParallelBFS-1", parallel(1, explore.SchedWorkStealing), true},
-		{"ParallelBFS-4", parallel(4, explore.SchedWorkStealing), true},
-		{"ParallelBFS-4-single-index", parallel(4, explore.SchedSingleIndex), true},
+		{"ParallelBFS-1", parallel(1), true},
+		{"ParallelBFS-4", parallel(4), true},
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"mpbasset/internal/core"
 	"mpbasset/internal/liveness"
+	"mpbasset/internal/spec"
 )
 
 // redSuffix marks a product key as red-visited in the shared store; the
@@ -515,8 +516,8 @@ func ParallelNDFS(p *core.Protocol, opts Options) (*Result, error) {
 		store = opts.concurrentStore()
 		canon = opts.canon()
 		exp   = opts.expander()
-		memo  specMemo[nRecord]
-		queue = newSpecQueue[nTarget]()
+		memo  spec.Memo[nRecord]
+		queue = spec.NewQueue[nTarget]()
 		stop  atomic.Bool
 		wg    sync.WaitGroup
 		probe func(string) bool
@@ -541,25 +542,25 @@ func ParallelNDFS(p *core.Protocol, opts Options) (*Result, error) {
 			}
 			nodes := make([]specNode, 0, 64)
 			for {
-				tgt, ok := queue.pop()
+				tgt, ok := queue.Pop()
 				if !ok {
 					return
 				}
 				nodes = append(nodes[:0], specNode{st: tgt.st, copy: tgt.copy, pkey: tgt.pkey})
-				budget := pdStealBudget
-				for len(nodes) > 0 && budget > 0 && !stop.Load() && !memo.full() {
+				budget := spec.StealBudget
+				for len(nodes) > 0 && budget > 0 && !stop.Load() && !memo.Full() {
 					n := nodes[len(nodes)-1]
 					nodes = nodes[:len(nodes)-1]
-					if memo.has(n.pkey) || (probe != nil && probe(n.pkey)) {
+					if memo.Contains(n.pkey) || (probe != nil && probe(n.pkey)) {
 						continue
 					}
 					rec := nBuild(p, prop, n.st, n.copy, exp, canon, noProviso{})
-					switch memo.put(n.pkey, rec) {
-					case pdStored:
+					switch memo.Put(n.pkey, rec) {
+					case spec.Stored:
 						// fresh entry: fall through to expand it below
-					case pdDup:
+					case spec.Dup:
 						continue
-					case pdFull:
+					case spec.Full:
 						nodes = nodes[:0]
 						continue
 					}
@@ -576,7 +577,7 @@ func ParallelNDFS(p *core.Protocol, opts Options) (*Result, error) {
 		}()
 	}
 	spec := &nSpec{
-		take: memo.take,
+		take: memo.Take,
 		publish: func(succs []nSucc) {
 			// Pending siblings (everything after the child the walk enters
 			// next), in reverse sibling order so the earliest sibling sits
@@ -586,11 +587,11 @@ func ParallelNDFS(p *core.Protocol, opts Options) (*Result, error) {
 				sc := &succs[i]
 				tgts = append(tgts, nTarget{st: sc.st, copy: sc.copy, pkey: sc.pkey})
 			}
-			queue.publish(tgts)
+			queue.Publish(tgts...)
 		},
 		close: func() {
 			stop.Store(true)
-			queue.close()
+			queue.Close()
 			wg.Wait()
 		},
 	}

@@ -6,6 +6,7 @@ import (
 
 	"mpbasset/internal/core"
 	"mpbasset/internal/liveness"
+	"mpbasset/internal/spec"
 )
 
 // Proviso is the ignoring-proviso (C3) hook of a search engine: the
@@ -61,29 +62,6 @@ func (FullExpander) Expand(_ *core.State, enabled []core.Event, _ Proviso) []cor
 	return enabled
 }
 
-// Sched selects how ParallelBFS workers claim frontier nodes within a
-// level. Both schedulers feed the same deterministic merge, so results are
-// bit-identical across schedulers; they differ only in throughput.
-type Sched int
-
-const (
-	// SchedWorkStealing (the default) partitions each frontier into
-	// per-worker contiguous spans: workers claim chunks of their own span
-	// (size adaptive to len(frontier)/workers unless ChunkSize overrides
-	// it) and, when idle, steal the upper half of the most-loaded worker's
-	// remaining span. Visited-set inserts are flushed through the store's
-	// batched fast path (see Options.BatchSize). This is the fastest
-	// scheduler on skewed frontiers, where nodes differ widely in
-	// expansion cost.
-	SchedWorkStealing Sched = iota
-	// SchedSingleIndex is the original scheduler: workers claim one node
-	// at a time from a single shared atomic index and insert visited keys
-	// one by one. Kept as the comparison baseline for benchmarks; the
-	// shared index and per-key stripe locks make it slower on skewed
-	// frontiers and at high worker counts.
-	SchedSingleIndex
-)
-
 // Options configures a search.
 type Options struct {
 	// Expander restricts expansion (POR); nil means full expansion.
@@ -129,19 +107,15 @@ type Options struct {
 	// Workers is the size of ParallelBFS's worker pool; 0 or negative
 	// means runtime.GOMAXPROCS(0). Ignored by the sequential engines.
 	Workers int
-	// Sched selects ParallelBFS's intra-level scheduler; the zero value
-	// is SchedWorkStealing. Ignored by the sequential engines.
-	Sched Sched
-	// ChunkSize fixes the number of frontier nodes a work-stealing worker
+	// ChunkSize fixes the number of frontier nodes a ParallelBFS worker
 	// claims per grab; 0 or negative means adaptive
-	// (len(frontier)/(workers*8), clamped to [1, 1024]). Ignored by
-	// SchedSingleIndex and the sequential engines.
+	// (len(frontier)/(workers*8), clamped to [1, 1024]). Ignored by the
+	// other engines.
 	ChunkSize int
-	// BatchSize is the number of successor keys a work-stealing worker
+	// BatchSize is the number of successor keys a ParallelBFS worker
 	// buffers before flushing them through the store's batched insert
 	// path (BatchStore.SeenBatch); 0 or negative means the default of 64.
-	// 1 degenerates to per-key inserts. Ignored by SchedSingleIndex and
-	// the sequential engines.
+	// 1 degenerates to per-key inserts. Ignored by the other engines.
 	BatchSize int
 	// StealDepth bounds one stolen subtree's speculation in ParallelDFS: a
 	// worker that steals a pending sibling explores at most this many
@@ -205,7 +179,7 @@ func (o *Options) stealDepth() int {
 	if o.StealDepth > 0 {
 		return o.StealDepth
 	}
-	return 8
+	return spec.DefaultStealDepth
 }
 
 func (o *Options) expander() Expander {

@@ -120,21 +120,19 @@ func (s *claimSpan) stealHalf() (lo, hi int, ok bool) {
 // and invariant checks — while a deterministic sequential merge replays the
 // level in frontier order to commit statistics, parent links and verdicts.
 //
-// Scheduling: under the default SchedWorkStealing, the frontier is
-// partitioned into per-worker contiguous spans; workers claim chunks of
-// their own span (Options.ChunkSize, adaptive by default) and, when their
-// span drains, steal the upper half of the most-loaded worker's remaining
-// span — so a few expensive nodes cannot leave the rest of the pool idle.
-// Visited-set inserts are buffered per worker (Options.BatchSize) and
-// flushed through the store's batched path (BatchStore.SeenBatch), taking
-// each stripe lock once per batch instead of once per successor.
-// Options.Sched = SchedSingleIndex selects the original scheduler (one
-// shared atomic index, per-key inserts), kept as a benchmark baseline.
+// Scheduling: the frontier is partitioned into per-worker contiguous
+// spans; workers claim chunks of their own span (Options.ChunkSize,
+// adaptive by default) and, when their span drains, steal the upper half
+// of the most-loaded worker's remaining span — so a few expensive nodes
+// cannot leave the rest of the pool idle. Visited-set inserts are
+// buffered per worker (Options.BatchSize) and flushed through the store's
+// batched path (BatchStore.SeenBatch), taking each stripe lock once per
+// batch instead of once per successor.
 //
 // Determinism: because the merge commits results in the exact order the
 // sequential engine would have produced them, ParallelBFS returns
 // bit-identical Verdict, Stats (except Duration) and Trace shape to BFS for
-// any worker count and either scheduler, including runs stopped by
+// any worker count, chunk size and batch size, including runs stopped by
 // MaxStates — with one caveat: under a canonicalizing Options.Canon the
 // Violation error value may be reported by any member of the violating
 // state's symmetry orbit. Only MaxDuration-limited runs are inherently
@@ -252,127 +250,95 @@ func ParallelBFS(p *core.Protocol, opts Options) (result *Result, err error) {
 		errs := make([]error, workers)
 		wg.Add(workers)
 
-		if opts.Sched == SchedSingleIndex {
-			var next atomic.Int64
-			for w := 0; w < workers; w++ {
-				go func(w int) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(frontier) || stop.Load() {
-							return
+		spans := make([]claimSpan, workers)
+		for w := range spans {
+			spans[w].v.Store(packSpan(w*len(frontier)/workers, (w+1)*len(frontier)/workers))
+		}
+		chunk := opts.chunkSize(len(frontier), workers)
+		batch := opts.batchSize()
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				var (
+					pendKeys  = make([]string, 0, batch)
+					pendSuccs = make([]*pSucc, 0, batch)
+					processed int
+				)
+				flush := func() {
+					if len(pendKeys) == 0 {
+						return
+					}
+					for k, dup := range seenBatch(store, pendKeys) {
+						if !dup {
+							sc := pendSuccs[k]
+							sc.wasNew = true
+							sc.verr = p.CheckInvariant(sc.st)
 						}
-						if i&31 == 31 && lim.deadlinePassed() {
+					}
+					pendKeys = pendKeys[:0]
+					pendSuccs = pendSuccs[:0]
+				}
+				// The deferred flush keeps the invariant "processed
+				// outcome ⇒ final wasNew/verr" on every exit path.
+				defer flush()
+				process := func(lo, hi int) bool {
+					for i := lo; i < hi; i++ {
+						if stop.Load() {
+							return false
+						}
+						processed++
+						if processed&31 == 0 && lim.deadlinePassed() {
 							stop.Store(true)
-							return
+							return false
 						}
 						if err := expandNode(frontier[i], &outcomes[i]); err != nil {
 							errs[w] = err
 							stop.Store(true)
-							return
+							return false
 						}
 						out := &outcomes[i]
 						for j := range out.succs {
-							sc := &out.succs[j]
-							if !store.Seen(sc.key) {
-								sc.wasNew = true
-								sc.verr = p.CheckInvariant(sc.st)
+							pendKeys = append(pendKeys, out.succs[j].key)
+							pendSuccs = append(pendSuccs, &out.succs[j])
+							if len(pendKeys) >= batch {
+								flush()
 							}
 						}
 					}
-				}(w)
-			}
-		} else {
-			spans := make([]claimSpan, workers)
-			for w := range spans {
-				spans[w].v.Store(packSpan(w*len(frontier)/workers, (w+1)*len(frontier)/workers))
-			}
-			chunk := opts.chunkSize(len(frontier), workers)
-			batch := opts.batchSize()
-			for w := 0; w < workers; w++ {
-				go func(w int) {
-					defer wg.Done()
-					var (
-						pendKeys  = make([]string, 0, batch)
-						pendSuccs = make([]*pSucc, 0, batch)
-						processed int
-					)
-					flush := func() {
-						if len(pendKeys) == 0 {
+					return true
+				}
+				for {
+					lo, hi, ok := spans[w].claim(chunk)
+					if !ok {
+						// Own span drained: steal the upper half of the
+						// most-loaded span and make it the new own span
+						// (so other idle workers can steal from it in
+						// turn). No victim with work left means the
+						// level is done claiming.
+						victim, best := -1, 0
+						for v := range spans {
+							if v == w {
+								continue
+							}
+							if next, end := spans[v].load(); end-next > best {
+								best, victim = end-next, v
+							}
+						}
+						if victim < 0 {
 							return
 						}
-						for k, dup := range seenBatch(store, pendKeys) {
-							if !dup {
-								sc := pendSuccs[k]
-								sc.wasNew = true
-								sc.verr = p.CheckInvariant(sc.st)
-							}
+						slo, shi, stolen := spans[victim].stealHalf()
+						if !stolen {
+							continue // lost the race; rescan
 						}
-						pendKeys = pendKeys[:0]
-						pendSuccs = pendSuccs[:0]
+						spans[w].v.Store(packSpan(slo, shi))
+						continue
 					}
-					// The deferred flush keeps the invariant "processed
-					// outcome ⇒ final wasNew/verr" on every exit path.
-					defer flush()
-					process := func(lo, hi int) bool {
-						for i := lo; i < hi; i++ {
-							if stop.Load() {
-								return false
-							}
-							processed++
-							if processed&31 == 0 && lim.deadlinePassed() {
-								stop.Store(true)
-								return false
-							}
-							if err := expandNode(frontier[i], &outcomes[i]); err != nil {
-								errs[w] = err
-								stop.Store(true)
-								return false
-							}
-							out := &outcomes[i]
-							for j := range out.succs {
-								pendKeys = append(pendKeys, out.succs[j].key)
-								pendSuccs = append(pendSuccs, &out.succs[j])
-								if len(pendKeys) >= batch {
-									flush()
-								}
-							}
-						}
-						return true
+					if !process(lo, hi) {
+						return
 					}
-					for {
-						lo, hi, ok := spans[w].claim(chunk)
-						if !ok {
-							// Own span drained: steal the upper half of the
-							// most-loaded span and make it the new own span
-							// (so other idle workers can steal from it in
-							// turn). No victim with work left means the
-							// level is done claiming.
-							victim, best := -1, 0
-							for v := range spans {
-								if v == w {
-									continue
-								}
-								if next, end := spans[v].load(); end-next > best {
-									best, victim = end-next, v
-								}
-							}
-							if victim < 0 {
-								return
-							}
-							slo, shi, stolen := spans[victim].stealHalf()
-							if !stolen {
-								continue // lost the race; rescan
-							}
-							spans[w].v.Store(packSpan(slo, shi))
-							continue
-						}
-						if !process(lo, hi) {
-							return
-						}
-					}
-				}(w)
-			}
+				}
+			}(w)
 		}
 		wg.Wait()
 		for _, werr := range errs {
@@ -388,7 +354,7 @@ func ParallelBFS(p *core.Protocol, opts Options) (result *Result, err error) {
 		// insert outcomes — a key is outside the level-start snapshot iff
 		// some successor instance won its insert (wasNew) — so the verdict
 		// is order-independent and bit-identical to sequential BFS for any
-		// worker count, scheduler and insert path. Promoted nodes are
+		// worker count and insert path. Promoted nodes are
 		// re-expanded sequentially in frontier order: their phase-one
 		// successors were all duplicates, so re-inserting cannot disturb
 		// other outcomes, and the deferred events' states must be committed

@@ -114,29 +114,25 @@ func stepEqual(a, b explore.Step) bool {
 type parallelConfig struct {
 	name    string
 	workers int
-	sched   explore.Sched
 	chunk   int
 	batch   int
 }
 
-// parallelConfigs covers both schedulers and the edge settings of the
-// chunking/batching knobs: adaptive defaults, chunk and batch forced to 1
+// parallelConfigs covers the edge settings of the chunking/batching knobs: adaptive defaults, chunk and batch forced to 1
 // (maximum stealing and per-key inserts), and awkward odd sizes.
 func parallelConfigs() []parallelConfig {
 	return []parallelConfig{
-		{"workers-1", 1, explore.SchedWorkStealing, 0, 0},
-		{"workers-2", 2, explore.SchedWorkStealing, 0, 0},
-		{"workers-8", 8, explore.SchedWorkStealing, 0, 0},
-		{"workers-8-chunk1-batch1", 8, explore.SchedWorkStealing, 1, 1},
-		{"workers-3-chunk5-batch3", 3, explore.SchedWorkStealing, 5, 3},
-		{"workers-8-single-index", 8, explore.SchedSingleIndex, 0, 0},
+		{"workers-1", 1, 0, 0},
+		{"workers-2", 2, 0, 0},
+		{"workers-8", 8, 0, 0},
+		{"workers-8-chunk1-batch1", 8, 1, 1},
+		{"workers-3-chunk5-batch3", 3, 5, 3},
 	}
 }
 
 // TestParallelBFSMatchesSequentialBFS is the differential suite: for every
 // bundled protocol, reduction combination and scheduler configuration
-// (work-stealing with assorted chunk/batch settings and the single-index
-// baseline), ParallelBFS must report the identical verdict, statistics and
+// (assorted worker counts and chunk/batch settings), ParallelBFS must report the identical verdict, statistics and
 // counterexample trace as sequential BFS.
 func TestParallelBFSMatchesSequentialBFS(t *testing.T) {
 	for _, pc := range protoCases() {
@@ -152,7 +148,6 @@ func TestParallelBFSMatchesSequentialBFS(t *testing.T) {
 				for _, cfg := range parallelConfigs() {
 					pxo := xo
 					pxo.Workers = cfg.workers
-					pxo.Sched = cfg.sched
 					pxo.ChunkSize = cfg.chunk
 					pxo.BatchSize = cfg.batch
 					par, err := explore.ParallelBFS(p, pxo)

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"mpbasset/internal/core"
+	"mpbasset/internal/spec"
 )
 
 // pdSucc is one successor of a speculatively expanded state: the executed
@@ -103,7 +104,7 @@ func pdSuccKeys(buf []string, succs []pdSucc) []string {
 // pdTarget is one steal target: an unexplored sibling still pending on the
 // commit stack, i.e. the root of a subtree sequential DFS has not entered
 // yet. The memo table and steal queue themselves are the generic
-// specMemo/specQueue (see spec.go), shared with ParallelNDFS.
+// spec.Memo/spec.Queue, shared with ParallelNDFS.
 type pdTarget struct {
 	st  *core.State
 	key string
@@ -202,8 +203,8 @@ func ParallelDFS(p *core.Protocol, opts Options) (result *Result, err error) {
 	// non-mutating store probe (nil when the store cannot answer — the
 	// speculators then dedupe through the memo table alone).
 	var (
-		memo  specMemo[pdRecord]
-		queue = newSpecQueue[pdTarget]()
+		memo  spec.Memo[pdRecord]
+		queue = spec.NewQueue[pdTarget]()
 		stop  atomic.Bool
 		wg    sync.WaitGroup
 		probe func(string) bool
@@ -224,25 +225,25 @@ func ParallelDFS(p *core.Protocol, opts Options) (result *Result, err error) {
 			}
 			nodes := make([]specNode, 0, 64)
 			for {
-				tgt, ok := queue.pop()
+				tgt, ok := queue.Pop()
 				if !ok {
 					return
 				}
 				nodes = append(nodes[:0], specNode{st: tgt.st, key: tgt.key})
-				budget := pdStealBudget
-				for len(nodes) > 0 && budget > 0 && !stop.Load() && !memo.full() {
+				budget := spec.StealBudget
+				for len(nodes) > 0 && budget > 0 && !stop.Load() && !memo.Full() {
 					n := nodes[len(nodes)-1]
 					nodes = nodes[:len(nodes)-1]
-					if memo.has(n.key) || (probe != nil && probe(n.key)) {
+					if memo.Contains(n.key) || (probe != nil && probe(n.key)) {
 						continue
 					}
 					rec := pdBuild(p, n.st, exp, canon, noProviso{}, true, probe)
-					switch memo.put(n.key, rec) {
-					case pdStored:
+					switch memo.Put(n.key, rec) {
+					case spec.Stored:
 						// fresh entry: fall through to expand it below
-					case pdDup:
+					case spec.Dup:
 						continue
-					case pdFull:
+					case spec.Full:
 						nodes = nodes[:0]
 						continue
 					}
@@ -260,7 +261,7 @@ func ParallelDFS(p *core.Protocol, opts Options) (result *Result, err error) {
 	}
 	defer func() {
 		stop.Store(true)
-		queue.close()
+		queue.Close()
 		wg.Wait()
 	}()
 
@@ -269,7 +270,7 @@ func ParallelDFS(p *core.Protocol, opts Options) (result *Result, err error) {
 	// the stack proviso and the expansion statistics — all exactly as
 	// sequential DFS computes them.
 	expand := func(s *core.State, key string) ([]pdSucc, error) {
-		rec := memo.take(key)
+		rec := memo.Take(key)
 		if rec == nil {
 			rec = pdBuild(p, s, exp, canon, sinfo, false, nil)
 		}
@@ -321,7 +322,7 @@ func ParallelDFS(p *core.Protocol, opts Options) (result *Result, err error) {
 			for i := len(succs) - 1; i >= 1; i-- {
 				tgts = append(tgts, pdTarget{st: succs[i].st, key: succs[i].key})
 			}
-			queue.publish(tgts)
+			queue.Publish(tgts...)
 		}
 		return nil
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // Exhaustive guards the soundness of verdict plumbing: a switch over a
-// closed constant set (explore.Verdict, Sched, the speculation memo's
-// put results) that omits a value routes that value through the default
+// closed constant set (explore.Verdict, the speculation memo's put
+// results) that omits a value routes that value through the default
 // path — or past the switch entirely — silently. In the deterministic
 // closure, every expression switch whose tag is a module-local named
 // type with a package-level constant set must either name every value of
@@ -18,8 +18,8 @@ import (
 // default clause does not satisfy the analyzer: the point is that adding
 // a new constant (a new verdict, a new scheduler) fails the lint run at
 // every switch that has not decided what the new value means. Matching
-// is by constant value, so aliases (SchedDefault = SchedWorkStealing)
-// are covered by either name. Type switches and switches over
+// is by constant value, so an alias (a constant declared equal to
+// another) is covered by either name. Type switches and switches over
 // non-module or single-constant types are out of scope.
 var Exhaustive = &Analyzer{
 	Name:    "exhaustive",

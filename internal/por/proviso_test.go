@@ -68,19 +68,17 @@ func reducedBFSWithoutProviso(t *testing.T, p *core.Protocol, exp *Expander) (vi
 }
 
 // provisoEngines is the engine matrix of the cyclic soundness tests: DFS,
-// sequential BFS, and ParallelBFS with 1/2/8 workers under both the
-// work-stealing and single-index schedulers, batched and per-key insert
-// paths.
+// sequential BFS, and ParallelBFS with 1/2/8 workers, batched and
+// per-key insert paths.
 type provisoEngine struct {
 	name string
 	run  func(*core.Protocol, explore.Options) (*explore.Result, error)
 }
 
 func provisoEngines() []provisoEngine {
-	parallel := func(workers int, sched explore.Sched, chunk, batch int) func(*core.Protocol, explore.Options) (*explore.Result, error) {
+	parallel := func(workers int, chunk, batch int) func(*core.Protocol, explore.Options) (*explore.Result, error) {
 		return func(p *core.Protocol, xo explore.Options) (*explore.Result, error) {
 			xo.Workers = workers
-			xo.Sched = sched
 			xo.ChunkSize = chunk
 			xo.BatchSize = batch
 			return explore.ParallelBFS(p, xo)
@@ -88,11 +86,10 @@ func provisoEngines() []provisoEngine {
 	}
 	return []provisoEngine{
 		{"BFS", explore.BFS},
-		{"ParallelBFS-1", parallel(1, explore.SchedWorkStealing, 0, 0)},
-		{"ParallelBFS-2", parallel(2, explore.SchedWorkStealing, 0, 0)},
-		{"ParallelBFS-8", parallel(8, explore.SchedWorkStealing, 0, 0)},
-		{"ParallelBFS-8-batch1", parallel(8, explore.SchedWorkStealing, 1, 1)},
-		{"ParallelBFS-8-single-index", parallel(8, explore.SchedSingleIndex, 0, 0)},
+		{"ParallelBFS-1", parallel(1, 0, 0)},
+		{"ParallelBFS-2", parallel(2, 0, 0)},
+		{"ParallelBFS-8", parallel(8, 0, 0)},
+		{"ParallelBFS-8-batch1", parallel(8, 1, 1)},
 	}
 }
 
@@ -154,8 +151,7 @@ func TestIgnoringTrapReducedBFSWithoutProvisoMisses(t *testing.T) {
 // proviso: on the trap — where SPOR+BFS previously verified incorrectly —
 // every reduced engine must now report the violation with the identical,
 // replayable trace (ring-1 CYC hops followed by the violating event),
-// bit-identical across DFS, BFS and ParallelBFS at 1/2/8 workers under
-// both schedulers, with a deterministic ProvisoExpansions count of 1 (only
+// bit-identical across DFS, BFS and ParallelBFS at 1/2/8 workers, with a deterministic ProvisoExpansions count of 1 (only
 // the expansion closing the ring is promoted).
 func TestIgnoringTrapAllEnginesAgree(t *testing.T) {
 	for _, ring := range []int{2, 3, 5} {

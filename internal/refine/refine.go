@@ -80,11 +80,20 @@ func Split(p *core.Protocol, strat Strategy) (*core.Protocol, error) {
 		}
 	}
 	np.Transitions = out
-	np.Name = p.Name + "+" + strat.String()
+	np.Name = Name(p.Name, strat)
 	if err := np.Finalize(); err != nil {
 		return nil, err
 	}
 	return np, nil
+}
+
+// Name is the name Split gives the refinement of a protocol called name:
+// unchanged for None, suffixed with the strategy otherwise.
+func Name(name string, strat Strategy) string {
+	if strat == None {
+		return name
+	}
+	return name + "+" + strat.String()
 }
 
 // eligible reports whether t is split under the strategy and whether the

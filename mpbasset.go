@@ -57,6 +57,10 @@
 // Liveness results are deterministic and bit-identical across worker
 // counts and stores, exactly like safety results.
 //
+// Check is the module's one engine dispatcher and Options.Validate its one
+// rule set: the command-line tools (cmd/mpcheck, and cmd/mpbench through
+// internal/eval) only translate their flags into Options, so every entry
+// point runs the same engines and refuses the same option combinations.
 // See the examples/ directory for complete programs and cmd/mpcheck for
 // the command-line interface.
 package mpbasset
@@ -149,10 +153,12 @@ type Options struct {
 	// only the reduction.
 	Split SplitStrategy
 	// SymmetryRoles enables role-based symmetry reduction over the given
-	// groups of interchangeable processes.
+	// groups of interchangeable processes. SearchDPOR keeps no visited
+	// set and rejects it.
 	SymmetryRoles [][]ProcessID
 	// BestSeed makes the static POR try every seed and keep the smallest
-	// ample set.
+	// ample set. Only SearchSPOR runs static POR; the other searches
+	// reject it.
 	BestSeed bool
 	// TrackTrace records parent links so BFS can reconstruct
 	// counterexamples (DFS variants always can).
@@ -176,22 +182,21 @@ type Options struct {
 	Workers int
 	// ChunkSize fixes how many frontier nodes a parallel BFS worker claims
 	// per grab; 0 means adaptive (frontier/(workers*8), clamped to
-	// [1, 1024]). Only meaningful with Workers > 0 and SearchBFS; the DFS
-	// searches ignore it.
+	// [1, 1024]). Requires Workers > 0 and SearchBFS; the other searches
+	// reject it.
 	ChunkSize int
 	// BatchSize is the number of successor keys a parallel BFS worker
 	// buffers before a batched visited-set insert (one stripe lock per
-	// batch instead of per key); 0 means the default of 64. Only
-	// meaningful with Workers > 0 and SearchBFS; the DFS searches ignore
-	// it.
+	// batch instead of per key); 0 means the default of 64. Requires
+	// Workers > 0 and SearchBFS; the other searches reject it.
 	BatchSize int
 	// StealDepth bounds one stolen subtree's speculation in the parallel
 	// DFS and DPOR searches: a worker explores at most this many events
 	// below a stolen sibling (or backtrack point) before reporting back
 	// and stealing afresh; 0 means the default of 8. It tunes throughput
-	// only and never changes results. Only meaningful with Workers > 0
-	// and the DFS searches (SearchSPOR, SearchUnreduced) or SearchDPOR;
-	// SearchBFS ignores it.
+	// only and never changes results. Requires Workers > 0 and the DFS
+	// searches (SearchSPOR, SearchUnreduced) or SearchDPOR; SearchBFS
+	// rejects it.
 	StealDepth int
 	// ExactStates stores full state keys instead of 128-bit fingerprints
 	// (more memory, zero collision risk). Incompatible with
@@ -261,12 +266,151 @@ type Options struct {
 	Property *Property
 }
 
+// Validate reports the first option combination Check would reject:
+// negative sizes and limits, tuning knobs for an engine the options do not
+// select, and store, reduction or property settings the selected search
+// cannot honour — each refused instead of silently ignored. Check calls it
+// first; the CLIs call it before printing anything, so every entry point
+// refuses the same combinations with the same message. Errors name both
+// the field and the CLI flag that sets it.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Workers (-workers)", int64(o.Workers)},
+		{"ChunkSize (-chunk)", int64(o.ChunkSize)},
+		{"BatchSize (-batch)", int64(o.BatchSize)},
+		{"StealDepth (-steal-depth)", int64(o.StealDepth)},
+		{"MaxStates (-max-states)", int64(o.MaxStates)},
+		{"MaxDuration (-budget)", int64(o.MaxDuration)},
+		{"StoreBudgetBytes (-mem-budget)", o.StoreBudgetBytes},
+		{"BitstateBytes (-bitstate-bytes)", o.BitstateBytes},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("mpbasset: %s must not be negative, got %d", f.name, f.v)
+		}
+	}
+	sequential, parallel := o.engines()
+	if sequential.run == nil {
+		return fmt.Errorf("mpbasset: unknown search %d", o.Search)
+	}
+	search := o.search()
+	dfs := search == SearchSPOR || search == SearchUnreduced
+	stateful := dfs || search == SearchBFS
+	var msg string
+	switch {
+	case o.Workers > 0 && parallel.run == nil:
+		msg = "Workers (-workers) is not supported by stateless search — no parallel engine exists for it (SearchDPOR has one)"
+	case o.ChunkSize != 0 && o.Workers == 0:
+		msg = "ChunkSize (-chunk) requires Workers (-workers): it tunes the parallel BFS scheduler's claim size"
+	case o.BatchSize != 0 && o.Workers == 0:
+		msg = "BatchSize (-batch) requires Workers (-workers): it tunes the parallel BFS visited-set insert batching"
+	case o.StealDepth != 0 && o.Workers == 0:
+		msg = "StealDepth (-steal-depth) requires Workers (-workers): it tunes parallel DFS/DPOR subtree speculation"
+	case o.ChunkSize != 0 && search != SearchBFS:
+		msg = "ChunkSize (-chunk) tunes the parallel BFS frontier scheduler, but this search runs " + parallel.name + " (tune StealDepth (-steal-depth) instead)"
+	case o.BatchSize != 0 && search != SearchBFS:
+		msg = "BatchSize (-batch) tunes the parallel BFS insert batching, but this search runs " + parallel.name + " (tune StealDepth (-steal-depth) instead)"
+	case o.StealDepth != 0 && search == SearchBFS:
+		msg = "StealDepth (-steal-depth) tunes parallel DFS/DPOR subtree speculation, but SearchBFS runs frontier-parallel BFS (tune ChunkSize (-chunk) and BatchSize (-batch) instead)"
+	case o.Property != nil && !dfs:
+		msg = "Property (-property) requires a DFS search (SearchSPOR or SearchUnreduced): liveness checking runs nested depth-first search"
+	case o.BestSeed && search != SearchSPOR:
+		msg = "BestSeed requires SearchSPOR: it tunes the static partial-order reduction no other search runs"
+	case o.SymmetryRoles != nil && search == SearchDPOR:
+		msg = "SymmetryRoles (-symmetry) is not supported by SearchDPOR: DPOR keeps no visited set, so it has no use for a canonicalizer"
+	case o.SpillDir != "" && o.StoreBudgetBytes == 0:
+		msg = "SpillDir (-spill-dir) requires StoreBudgetBytes (-mem-budget): the spill directory is meaningless without a memory budget"
+	case o.BitstateBytes != 0 && !o.Lossy:
+		msg = "BitstateBytes (-bitstate-bytes) requires Lossy (-lossy): the bit-array budget is meaningless without the lossy store"
+	case o.Lossy && !stateful:
+		msg = "Lossy (-lossy) requires a stateful search (stateless and DPOR searches keep no visited set)"
+	case o.Lossy && o.Property != nil:
+		msg = "Lossy (-lossy) is incompatible with Property (-property): nested DFS cycle detection needs an exact visited set"
+	case o.Lossy && o.ExactStates:
+		msg = "Lossy (-lossy) is incompatible with ExactStates: the bitstate store keeps hash probes, not states"
+	case o.Lossy && o.StoreBudgetBytes > 0:
+		msg = "Lossy (-lossy) is incompatible with StoreBudgetBytes (-mem-budget): the bitstate store never grows, size it with BitstateBytes (-bitstate-bytes) instead"
+	case o.Compress && !stateful:
+		msg = "Compress (-compress) requires a stateful search (stateless and DPOR searches keep no visited set to compress)"
+	case o.Compress && o.SymmetryRoles != nil:
+		msg = "Compress (-compress) is incompatible with SymmetryRoles (-symmetry): symmetry reduction installs its own canonicalizer"
+	case o.StoreBudgetBytes > 0 && o.ExactStates:
+		msg = "StoreBudgetBytes (-mem-budget) is incompatible with ExactStates: the spill tier stores 128-bit fingerprints only"
+	case o.StoreBudgetBytes > 0 && !stateful:
+		msg = "StoreBudgetBytes (-mem-budget) requires a stateful search (stateless and DPOR searches keep no visited set to spill)"
+	default:
+		return nil
+	}
+	return fmt.Errorf("mpbasset: %s", msg)
+}
+
+// Engine names the search engine Check runs for these options, for
+// example "speculative parallel DFS" for SearchSPOR with Workers > 0. It
+// reads the dispatch table Check itself runs, so a CLI banner cannot name
+// a different engine than the one searching.
+func (o Options) Engine() string {
+	return o.engine().name
+}
+
+// search resolves the default search.
+func (o Options) search() Search {
+	if o.Search == 0 {
+		return SearchSPOR
+	}
+	return o.Search
+}
+
+// engine is one entry of the dispatch table: a search engine and its name.
+type engine struct {
+	name string
+	run  func(*core.Protocol, explore.Options) (*explore.Result, error)
+}
+
+// engines is the dispatch table: the selected search's sequential engine
+// and the parallel engine that reproduces it bit-identically for any
+// worker count (zero where none exists, and both zero for an unknown
+// search). The DFS searches pair with the speculative ParallelDFS — or,
+// with a liveness property, run the nested-DFS pair — the BFS search with
+// the frontier-parallel ParallelBFS, and DPOR with its speculative
+// parallel engine.
+func (o Options) engines() (sequential, parallel engine) {
+	switch o.search() {
+	case SearchSPOR, SearchUnreduced:
+		if o.Property != nil {
+			return engine{"nested DFS", explore.NDFS}, engine{"speculative parallel NDFS", explore.ParallelNDFS}
+		}
+		return engine{"DFS", explore.DFS}, engine{"speculative parallel DFS", explore.ParallelDFS}
+	case SearchBFS:
+		return engine{"BFS", explore.BFS}, engine{"frontier-parallel BFS", explore.ParallelBFS}
+	case SearchStateless:
+		return engine{"stateless DFS", explore.StatelessDFS}, engine{}
+	case SearchDPOR:
+		return engine{"DPOR", dpor.Explore}, engine{"speculative parallel DPOR", dpor.ExploreParallel}
+	}
+	return engine{}, engine{}
+}
+
+// engine selects the dispatch table entry Check runs.
+func (o Options) engine() engine {
+	sequential, parallel := o.engines()
+	if o.Workers > 0 {
+		return parallel
+	}
+	return sequential
+}
+
 // Check verifies the protocol's invariant over its full (possibly reduced)
 // state space and returns the verdict, statistics, and — for violations —
-// a counterexample trace.
+// a counterexample trace. It rejects invalid options (see Validate) before
+// doing any work.
 func Check(p *Protocol, opts Options) (*Result, error) {
 	if p == nil {
 		return nil, fmt.Errorf("mpbasset: nil protocol")
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	if opts.Split != SplitNone {
 		sp, err := refine.Split(p, opts.Split)
@@ -276,10 +420,6 @@ func Check(p *Protocol, opts Options) (*Result, error) {
 		p = sp
 	}
 	if opts.Property != nil {
-		switch opts.Search {
-		case SearchBFS, SearchStateless, SearchDPOR:
-			return nil, fmt.Errorf("mpbasset: Property (-property) requires a DFS search (SearchSPOR or SearchUnreduced): liveness checking runs nested depth-first search")
-		}
 		// Instrument before the expander is built in runSearch, so the
 		// property-visible marks constrain the reduction (C2).
 		ip, err := liveness.Instrument(p, opts.Property)
@@ -298,50 +438,23 @@ func Check(p *Protocol, opts Options) (*Result, error) {
 		StealDepth:  opts.StealDepth,
 		Property:    opts.Property,
 	}
-	if opts.SpillDir != "" && opts.StoreBudgetBytes <= 0 {
-		return nil, fmt.Errorf("mpbasset: SpillDir (-spill-dir) requires StoreBudgetBytes (-mem-budget): the spill directory is meaningless without a memory budget")
-	}
-	if opts.BitstateBytes != 0 && !opts.Lossy {
-		return nil, fmt.Errorf("mpbasset: BitstateBytes (-bitstate-bytes) requires Lossy (-lossy): the bit-array budget is meaningless without the lossy store")
-	}
-	parallel := opts.Workers > 0
-	if opts.Lossy {
-		switch opts.Search {
-		case SearchStateless, SearchDPOR:
-			return nil, fmt.Errorf("mpbasset: Lossy (-lossy) requires a stateful search (stateless and DPOR searches keep no visited set)")
+	if opts.SymmetryRoles != nil {
+		canon, err := symmetry.New(p.N, opts.SymmetryRoles)
+		if err != nil {
+			return nil, err
 		}
-		switch {
-		case opts.Property != nil:
-			return nil, fmt.Errorf("mpbasset: Lossy (-lossy) is incompatible with Property (-property): nested DFS cycle detection needs an exact visited set")
-		case opts.ExactStates:
-			return nil, fmt.Errorf("mpbasset: Lossy (-lossy) is incompatible with ExactStates: the bitstate store keeps hash probes, not states")
-		case opts.StoreBudgetBytes > 0:
-			return nil, fmt.Errorf("mpbasset: Lossy (-lossy) is incompatible with StoreBudgetBytes (-mem-budget): the bitstate store never grows, size it with BitstateBytes (-bitstate-bytes) instead")
-		}
+		xo.Canon = canon.Canon
 	}
 	var coll *explore.Collapser
 	if opts.Compress {
-		switch opts.Search {
-		case SearchStateless, SearchDPOR:
-			return nil, fmt.Errorf("mpbasset: Compress (-compress) requires a stateful search (stateless and DPOR searches keep no visited set to compress)")
-		}
-		if opts.SymmetryRoles != nil {
-			return nil, fmt.Errorf("mpbasset: Compress (-compress) is incompatible with SymmetryRoles (-symmetry): symmetry reduction installs its own canonicalizer")
-		}
 		coll = explore.NewCollapser()
 		xo.Canon = coll.Canon
 	}
 	var spill *explore.SpillStore
-	if opts.Lossy {
+	switch {
+	case opts.Lossy:
 		xo.Store = explore.NewBitstateStore(opts.BitstateBytes, 0)
-	} else if opts.StoreBudgetBytes > 0 {
-		if opts.ExactStates {
-			return nil, fmt.Errorf("mpbasset: StoreBudgetBytes is incompatible with ExactStates (the spill tier stores 128-bit fingerprints only)")
-		}
-		switch opts.Search {
-		case SearchStateless, SearchDPOR:
-			return nil, fmt.Errorf("mpbasset: StoreBudgetBytes (-mem-budget) requires a stateful search (stateless and DPOR searches keep no visited set to spill)")
-		}
+	case opts.StoreBudgetBytes > 0:
 		sp, err := explore.NewSpillStore(explore.SpillConfig{
 			BudgetBytes: opts.StoreBudgetBytes,
 			Dir:         opts.SpillDir,
@@ -351,24 +464,14 @@ func Check(p *Protocol, opts Options) (*Result, error) {
 		}
 		spill = sp
 		xo.Store = sp
-	} else {
-		switch {
-		case parallel && opts.ExactStates:
-			xo.Store = explore.NewShardedExactStore()
-		case parallel:
-			xo.Store = explore.NewShardedHashStore()
-		case !opts.ExactStates:
-			xo.Store = explore.NewHashStore()
-		}
+	case opts.Workers > 0 && opts.ExactStates:
+		xo.Store = explore.NewShardedExactStore()
+	case opts.Workers > 0:
+		xo.Store = explore.NewShardedHashStore()
+	case !opts.ExactStates:
+		xo.Store = explore.NewHashStore()
 	}
-	if opts.SymmetryRoles != nil {
-		canon, err := symmetry.New(p.N, opts.SymmetryRoles)
-		if err != nil {
-			return nil, err
-		}
-		xo.Canon = canon.Canon
-	}
-	res, err := runSearch(p, opts, xo, parallel)
+	res, err := runSearch(p, opts, xo)
 	// The spill store owns disk state (run files, possibly a temporary
 	// directory); release it before handing the result back. Spill
 	// activity was already copied into res.Stats by the engine.
@@ -393,53 +496,16 @@ func Check(p *Protocol, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// runSearch dispatches to the engine selected by opts.Search.
-func runSearch(p *Protocol, opts Options, xo explore.Options, parallel bool) (*Result, error) {
-	search := opts.Search
-	if search == 0 {
-		search = SearchSPOR
-	}
-	// Each stateful search has a sequential engine and a parallel engine
-	// that reproduces it bit-identically: the DFS searches pair with the
-	// speculative ParallelDFS, the BFS search with the frontier-parallel
-	// ParallelBFS. With a liveness property the DFS searches run the nested
-	// (NDFS) variants instead, same determinism guarantee.
-	stateful := func(sequential, parallelEngine func(*core.Protocol, explore.Options) (*explore.Result, error)) (*Result, error) {
-		if parallel {
-			return parallelEngine(p, xo)
-		}
-		return sequential(p, xo)
-	}
-	dfs := func() (*Result, error) {
-		if xo.Property != nil {
-			return stateful(explore.NDFS, explore.ParallelNDFS)
-		}
-		return stateful(explore.DFS, explore.ParallelDFS)
-	}
-	switch search {
-	case SearchSPOR:
+// runSearch builds the static POR expander when the search needs one and
+// runs the engine the dispatch table selects.
+func runSearch(p *Protocol, opts Options, xo explore.Options) (*Result, error) {
+	if opts.search() == SearchSPOR {
 		exp, err := por.NewExpander(p)
 		if err != nil {
 			return nil, err
 		}
 		exp.BestSeed = opts.BestSeed
 		xo.Expander = exp
-		return dfs()
-	case SearchUnreduced:
-		return dfs()
-	case SearchBFS:
-		return stateful(explore.BFS, explore.ParallelBFS)
-	case SearchStateless:
-		if parallel {
-			return nil, fmt.Errorf("mpbasset: Workers (-workers) is not supported by stateless search — no parallel engine exists for it (SearchDPOR has one)")
-		}
-		return explore.StatelessDFS(p, xo)
-	case SearchDPOR:
-		if parallel {
-			return dpor.ExploreParallel(p, xo)
-		}
-		return dpor.Explore(p, xo)
-	default:
-		return nil, fmt.Errorf("mpbasset: unknown search %d", search)
 	}
+	return opts.engine().run(p, xo)
 }
